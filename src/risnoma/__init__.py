@@ -4,7 +4,9 @@ BS-to-UAV downlink NOMA, with a Monte Carlo cross-validation oracle."""
 __version__ = "0.1.0"
 
 from .channels import (
+    LINK_KINDS,
     LaguerreFit,
+    Link,
     LinkBudget,
     LinkChannel,
     NakagamiParams,

@@ -16,6 +16,7 @@ validated against the quadrature reference and Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,9 @@ __all__ = [
     "RisLinkParams",
     "LaguerreFit",
     "LinkBudget",
+    "Link",
     "LinkChannel",
+    "LINK_KINDS",
     "double_nakagami_pdf",
     "double_nakagami_moment",
     "fit_laguerre",
@@ -320,8 +323,8 @@ def composite_snr_cdf_closed(
     Two branches split on the sum mean versus sqrt(gamma/gamma_bar_r); inside
     each branch the remaining integral is a psi-type Gaussian moment integral
     solved with incomplete gamma functions.  Requires 2*m3 within 1e-6 of an
-    integer (the psi expansion is finite only then); callers round the fitted
-    direct shape to the nearest half-integer before invoking this path.
+    integer (the psi expansion is finite only then); Link.cdf snaps the
+    fitted direct shape to the nearest half-integer before invoking it.
     With clamp=False the raw value is returned for diagnostics.
     """
     gamma = float(gamma)
@@ -367,6 +370,42 @@ def composite_snr_cdf_closed(
     if clamp:
         val = min(max(val, 0.0), 1.0)
     return val
+
+
+def _half_integer_m(p: NakagamiParams) -> NakagamiParams:
+    """p with m snapped to the nearest half-integer (at least 0.5)."""
+    return NakagamiParams(m=max(0.5, round(2.0 * p.m) / 2.0), omega=p.omega)
+
+
+@dataclass(frozen=True)
+class Link:
+    """One BS->UAV link: direct-only, RIS-only or composite, by which of
+    `direct` and `ris` are present.  The fading parameters are exact; only
+    the composite closed form in cdf() snaps m3 to a half-integer."""
+
+    direct: NakagamiParams | None
+    ris: RisLinkParams | None
+    budget: LinkBudget
+
+    def __post_init__(self):
+        if self.direct is None and self.ris is None:
+            raise ValueError("a link needs a direct path, a RIS path or both")
+
+    @functools.cached_property
+    def fit(self) -> LaguerreFit | None:
+        return None if self.ris is None else fit_laguerre(self.ris)
+
+    def cdf(self, gamma):
+        """SNR CDF: exact for the direct link, Laguerre fit for the RIS-only
+        link, closed form (scalar gamma) for the composite link."""
+        if self.ris is None:
+            return direct_snr_cdf(self.direct, self.budget.gamma_bar_d, gamma)
+        if self.direct is None:
+            return ris_snr_cdf(self.fit, self.budget.gamma_bar_r, gamma)
+        return composite_snr_cdf_closed(self.fit, _half_integer_m(self.direct), self.budget, gamma)
+
+
+LINK_KINDS = ("direct", "ris", "composite")
 
 
 @dataclass(frozen=True)
@@ -421,8 +460,22 @@ class LinkChannel:
     def rounded_direct(self) -> NakagamiParams:
         """Direct fading with m3 snapped to the nearest half-integer, as the
         closed-form composite path requires."""
-        m = max(0.5, round(2.0 * self.direct_fading.m) / 2.0)
-        return NakagamiParams(m=m, omega=self.direct_fading.omega)
+        return _half_integer_m(self.direct_fading)
+
+    def link(self, kind: str, n_elements: int) -> Link:
+        """The link of one of LINK_KINDS through n_elements RIS elements.
+
+        A composite link with zero elements is exactly the direct link; a
+        RIS-only link with zero elements does not exist.
+        """
+        if kind not in LINK_KINDS:
+            raise ValueError(f"unknown link type {kind!r}")
+        if kind == "ris" and n_elements < 1:
+            raise ValueError("RIS-only link needs at least one element")
+        if kind == "direct" or n_elements == 0:
+            return Link(self.direct_fading, None, self.budget())
+        direct = None if kind == "ris" else self.direct_fading
+        return Link(direct, self.ris_params(n_elements), self.budget())
 
 
 def resolve_links(

@@ -21,16 +21,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .channels import (
-    LinkChannel,
-    NakagamiParams,
-    composite_snr_cdf_closed,
-    composite_snr_cdf_quadrature,
-    direct_snr_cdf,
-    fit_laguerre,
-    resolve_links,
-    ris_snr_cdf,
-)
+from .channels import LINK_KINDS, Link, composite_snr_cdf_quadrature, resolve_links
 from .environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from .noma import OutageModel, PowerAllocation, ordered_cdf
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
@@ -340,14 +331,15 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int, extra=None)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _mc_outages(model: OutageModel, alloc, n_per_rank, link_type, mc_cfg):
-    specs = []
-    for rank in range(1, model.m_users + 1):
-        link = model.links[rank - 1]
-        n_m = int(n_per_rank[rank - 1])
-        ris = link.ris_params(n_m) if (link_type != "direct" and n_m >= 1) else None
-        specs.append((link_type, link.direct_fading, ris, link.budget()))
-    return mc_noma_outage(specs, alloc, model.rates, mc_cfg)
+def _mc_columns(model: OutageModel, alloc, n_elements: int, mc_cfg):
+    """(MC outage, half-width) of every rank, all ranks at n_elements."""
+    links = [model.link(rank, n_elements) for rank in range(1, model.m_users + 1)]
+    return [(e.value, e.halfwidth) for e in mc_noma_outage(links, alloc, model.rates, mc_cfg)]
+
+
+def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
+    if cfg.sweep.variable != variable:
+        raise ConfigError(f"sweep.variable is {cfg.sweep.variable!r}, not {variable!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,38 +348,30 @@ def _mc_outages(model: OutageModel, alloc, n_per_rank, link_type, mc_cfg):
 
 def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled: bool):
     """Outage versus RIS element count for direct, RIS-only and composite links."""
+    _require_sweep_variable(cfg, "n_elements")
     links = _resolved_links(cfg, seed)
     rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
-    models = {
-        lt: OutageModel(links, rates, link_type=lt) for lt in ("direct", "ris", "composite")
-    }
+    models = {lt: OutageModel(links, rates, link_type=lt) for lt in LINK_KINDS}
     alloc = _allocation(cfg, models["composite"])
     rows = []
     for sweep_idx, n_val in enumerate(cfg.sweep.grid):
         n_val = int(n_val)
-        for link_type in ("direct", "ris", "composite"):
+        for link_type in LINK_KINDS:
             model = models[link_type]
+            no_path = link_type == "ris" and n_val == 0  # certain outage
+            mc = [(None, None)] * model.m_users
+            if mc_enabled and not no_path:
+                mc = _mc_columns(model, alloc, n_val, cfg.mc.config(seed_offset=1000 * sweep_idx))
             for rank in range(1, model.m_users + 1):
-                if link_type == "ris" and n_val == 0:
-                    analytic = 1.0  # no path at all: certain outage
-                else:
-                    analytic = model.outage(rank, alloc, n_val)
-                mc_val = mc_hw = None
-                if mc_enabled and not (link_type == "ris" and n_val == 0):
-                    est = _mc_outages(
-                        model, alloc, [n_val] * model.m_users, link_type,
-                        cfg.mc.config(seed_offset=1000 * sweep_idx),
-                    )[rank - 1]
-                    mc_val, mc_hw = est.value, est.halfwidth
-                rows.append(
-                    ("n_elements", n_val, rank, link_type, analytic, mc_val, mc_hw)
-                )
+                analytic = 1.0 if no_path else model.outage(rank, alloc, n_val)
+                rows.append(("n_elements", n_val, rank, link_type, analytic, *mc[rank - 1]))
     _write_csv(out_dir / "sweep_links.csv", SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
     return rows
 
 
 def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
+    _require_sweep_variable(cfg, variable)
     rows = []
     for sweep_idx, value in enumerate(cfg.sweep.grid):
         if variable == "tx_power_dbm":
@@ -399,16 +383,12 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
         model = OutageModel(links, rates, link_type="composite")
         alloc = _allocation(cfg, model)
         n_val = int(cfg.sweep.fixed_n_elements)
+        mc = [(None, None)] * model.m_users
+        if mc_enabled:
+            mc = _mc_columns(model, alloc, n_val, cfg.mc.config(seed_offset=1000 * sweep_idx))
         for rank in range(1, model.m_users + 1):
             analytic = model.outage(rank, alloc, n_val)
-            mc_val = mc_hw = None
-            if mc_enabled:
-                est = _mc_outages(
-                    model, alloc, [n_val] * model.m_users, "composite",
-                    cfg.mc.config(seed_offset=1000 * sweep_idx),
-                )[rank - 1]
-                mc_val, mc_hw = est.value, est.halfwidth
-            rows.append((variable, float(value), rank, "composite", analytic, mc_val, mc_hw))
+            rows.append((variable, float(value), rank, "composite", analytic, *mc[rank - 1]))
     _write_csv(out_dir / filename, SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
     return rows
@@ -485,37 +465,33 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     report = {"checks": [], "seed": seed, "trials": cfg.mc.trials}
 
     # direct-link CDF
+    direct = link.link("direct", 0)
     grid = np.geomspace(link.gamma_bar_d * 1e-3, link.gamma_bar_d * 10.0, 60)
-    mc = mc_snr_cdf("direct", link.direct_fading, None, link.budget(), grid, cfg.mc.config(0))
-    analytic = direct_snr_cdf(link.direct_fading, link.gamma_bar_d, grid)
-    _check(report, "direct_cdf_vs_mc", float(np.max(np.abs(analytic - mc.values))),
+    mc = mc_snr_cdf(direct, grid, cfg.mc.config(0))
+    _check(report, "direct_cdf_vs_mc", float(np.max(np.abs(direct.cdf(grid) - mc.values))),
            tols.direct_cdf_abs_tol + mc.halfwidth)
 
     # RIS-only CDF (element count from the sweep block, at least 16)
     n_val = max(int(cfg.sweep.fixed_n_elements), 16)
-    ris = link.ris_params(n_val)
-    fit = fit_laguerre(ris)
-    peak = link.gamma_bar_r * fit.mean_sum**2
+    ris = link.link("ris", n_val)
+    peak = link.gamma_bar_r * ris.fit.mean_sum**2
     grid = np.linspace(peak * 1e-3, peak * 4.0, 100)
-    mc = mc_snr_cdf("ris", link.direct_fading, ris, link.budget(), grid, cfg.mc.config(1))
-    analytic = ris_snr_cdf(fit, link.gamma_bar_r, grid)
-    _check(report, "ris_cdf_vs_mc", float(np.max(np.abs(analytic - mc.values))),
+    mc = mc_snr_cdf(ris, grid, cfg.mc.config(1))
+    _check(report, "ris_cdf_vs_mc", float(np.max(np.abs(ris.cdf(grid) - mc.values))),
            tols.ris_cdf_abs_tol + mc.halfwidth)
 
-    # composite closed form vs quadrature vs MC
-    direct_r = link.rounded_direct()
-    budget = link.budget()
-    amp_mean = budget.amp_ris * fit.mean_sum + budget.amp_direct
+    # composite closed form vs quadrature vs MC, all at the snapped m3
+    comp = Link(link.rounded_direct(), ris.ris, link.budget())
+    budget = comp.budget
+    amp_mean = budget.amp_ris * comp.fit.mean_sum + budget.amp_direct
     grid = np.linspace(1e-3, 4.0, 60) * budget.gamma_bar_c * amp_mean**2
     quad_vals = np.array(
-        [composite_snr_cdf_quadrature(fit, direct_r, budget, g) for g in grid]
+        [composite_snr_cdf_quadrature(comp.fit, comp.direct, budget, g) for g in grid]
     )
-    closed_vals = np.array(
-        [composite_snr_cdf_closed(fit, direct_r, budget, g) for g in grid]
-    )
+    closed_vals = np.array([comp.cdf(g) for g in grid])
     _check(report, "composite_closed_vs_quadrature",
            float(np.max(np.abs(closed_vals - quad_vals))), tols.closed_vs_quadrature_tol)
-    mc = mc_snr_cdf("composite", direct_r, ris, budget, grid, cfg.mc.config(2))
+    mc = mc_snr_cdf(comp, grid, cfg.mc.config(2))
     _check(report, "composite_quadrature_vs_mc",
            float(np.max(np.abs(quad_vals - mc.values))),
            tols.quadrature_vs_mc_tol + mc.halfwidth)
@@ -530,13 +506,13 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
     model = OutageModel(links, rates, link_type="composite")
     alloc = _allocation(cfg, model)
-    n_per_rank = [int(cfg.sweep.fixed_n_elements)] * len(links)
-    analytic_out = model.outages(alloc, n_per_rank)
-    mc_out = _mc_outages(model, alloc, n_per_rank, "composite", cfg.mc.config(3))
-    for rank, (a_val, est) in enumerate(zip(analytic_out, mc_out), start=1):
-        if a_val >= 1e-2 or est.value >= 1e-2:
-            _check(report, f"noma_outage_rank{rank}", abs(a_val - est.value),
-                   tols.outage_abs_tol + est.halfwidth)
+    n_fixed = int(cfg.sweep.fixed_n_elements)
+    analytic_out = model.outages(alloc, [n_fixed] * len(links))
+    mc_out = _mc_columns(model, alloc, n_fixed, cfg.mc.config(3))
+    for rank, (a_val, (mc_val, mc_hw)) in enumerate(zip(analytic_out, mc_out), start=1):
+        if a_val >= 1e-2 or mc_val >= 1e-2:
+            _check(report, f"noma_outage_rank{rank}", abs(a_val - mc_val),
+                   tols.outage_abs_tol + mc_hw)
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     (out_dir / "validate_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))

@@ -141,18 +141,12 @@ def ordered_cdf(parent_cdf_value, m: int, total: int):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def outage_probability(q: OutageQuery, alloc: PowerAllocation, lenient: bool = False) -> float:
+def outage_probability(q: OutageQuery, alloc: PowerAllocation) -> float:
     """Outage of rank m: ordered CDF of the parent at the binding SIC threshold.
 
-    An infeasible allocation raises by default; with lenient=True it counts
-    as certain outage (used by optimizers that pre-filter candidates).
+    An infeasible allocation raises InfeasibleAllocationError.
     """
-    try:
-        _, gamma_mlb = sic_thresholds(alloc, q.target_rates, q.rank_m)
-    except InfeasibleAllocationError:
-        if lenient:
-            return 1.0
-        raise
+    _, gamma_mlb = sic_thresholds(alloc, q.target_rates, q.rank_m)
     parent = float(q.parent_cdf(gamma_mlb))
     return float(ordered_cdf(parent, q.rank_m, q.total_m))
 
@@ -165,8 +159,8 @@ class OutageModel:
     element count) inside the ordered-statistics outage formula.
     """
 
-    def __init__(self, links, rates, link_type: str = "composite"):
-        if link_type not in ("direct", "ris", "composite"):
+    def __init__(self, links, rates, link_type: str):
+        if link_type not in ch.LINK_KINDS:
             raise ValueError(f"unknown link type {link_type!r}")
         self.links = sorted(links, key=lambda l: (l.gamma_bar_d, l.uav))
         self.rates = tuple(float(r) for r in rates)
@@ -174,44 +168,23 @@ class OutageModel:
         self.m_users = len(self.links)
         if len(self.rates) != self.m_users:
             raise ValueError("need one target rate per UAV")
-        self._fit_cache = {}
+        self._rank_links = {}
 
-    def _fit(self, link, n_elements):
-        key = (link.uav, n_elements)
-        if key not in self._fit_cache:
-            self._fit_cache[key] = link.laguerre(n_elements)
-        return self._fit_cache[key]
+    def link(self, rank: int, n_elements: int) -> ch.Link:
+        """The link of the given rank (1-based) with n_elements RIS elements."""
+        key = (rank, n_elements)
+        if key not in self._rank_links:
+            self._rank_links[key] = self.links[rank - 1].link(self.link_type, n_elements)
+        return self._rank_links[key]
 
-    def parent_cdf(self, rank: int, n_elements: int):
-        """Parent SNR CDF callable for the given rank (1-based)."""
-        link = self.links[rank - 1]
-        if self.link_type == "direct":
-            return lambda g: ch.direct_snr_cdf(link.direct_fading, link.gamma_bar_d, g)
-        if self.link_type == "ris":
-            if n_elements < 1:
-                raise ValueError("RIS-only link needs at least one element")
-            fit = self._fit(link, n_elements)
-            return lambda g: ch.ris_snr_cdf(fit, link.gamma_bar_r, g)
-        fit = self._fit(link, n_elements)
-        if fit is None:
-            # zero elements: the composite link IS the direct link (exact m3)
-            return lambda g: ch.direct_snr_cdf(link.direct_fading, link.gamma_bar_d, g)
-        direct = link.rounded_direct()
-        budget = link.budget()
-        return lambda g: ch.composite_snr_cdf_closed(fit, direct, budget, g)
-
-    def outage(self, rank: int, alloc: PowerAllocation, n_elements: int,
-               lenient: bool = False) -> float:
+    def outage(self, rank: int, alloc: PowerAllocation, n_elements: int) -> float:
         query = OutageQuery(
             rank_m=rank,
             total_m=self.m_users,
-            parent_cdf=self.parent_cdf(rank, n_elements),
+            parent_cdf=self.link(rank, n_elements).cdf,
             target_rates=self.rates,
         )
-        return outage_probability(query, alloc, lenient=lenient)
+        return outage_probability(query, alloc)
 
-    def outages(self, alloc: PowerAllocation, n_per_rank, lenient: bool = False):
-        return [
-            self.outage(m, alloc, int(n_per_rank[m - 1]), lenient=lenient)
-            for m in range(1, self.m_users + 1)
-        ]
+    def outages(self, alloc: PowerAllocation, n_per_rank):
+        return [self.outage(m, alloc, int(n_per_rank[m - 1])) for m in range(1, self.m_users + 1)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LinkBudget, NakagamiParams, RisLinkParams
+from .channels import Link, NakagamiParams, RisLinkParams
 from .noma import PowerAllocation
 
 __all__ = [
@@ -82,63 +82,54 @@ def sample_ris_sum(ris: RisLinkParams, rng: np.random.Generator, size=None):
     return float(out) if size is None else out
 
 
-def _sample_link_snr(kind, direct, ris, budget: LinkBudget, rng, size):
-    if kind == "direct":
-        w = sample_nakagami(direct, rng, size)
+def _sample_snr(link: Link, rng, size):
+    """SNR draws of one link; a composite link draws its RIS sum first."""
+    budget = link.budget
+    if link.ris is None:
+        w = sample_nakagami(link.direct, rng, size)
         return budget.gamma_bar_d * w * w
-    if kind == "ris":
-        s = sample_ris_sum(ris, rng, size)
+    s = sample_ris_sum(link.ris, rng, size)
+    if link.direct is None:
         return budget.gamma_bar_r * s * s
-    if kind == "composite":
-        if ris is None:
-            w = sample_nakagami(direct, rng, size)
-            return budget.gamma_bar_d * w * w
-        s = sample_ris_sum(ris, rng, size)
-        w = sample_nakagami(direct, rng, size)
-        amp = budget.amp_ris * s + budget.amp_direct * w
-        return budget.gamma_bar_c * amp * amp
-    raise ValueError(f"unknown link kind {kind!r}")
+    w = sample_nakagami(link.direct, rng, size)
+    amp = budget.amp_ris * s + budget.amp_direct * w
+    return budget.gamma_bar_c * amp * amp
 
 
-def mc_snr_cdf(kind: str, direct, ris, budget: LinkBudget, gamma_grid, cfg: McConfig) -> McCdf:
-    """Empirical SNR CDF over a sorted gamma grid.
-
-    kind is 'direct', 'ris' or 'composite'; ris may be None for a composite
-    link with zero elements (degenerates to the direct link).
-    """
+def mc_snr_cdf(link: Link, gamma_grid, cfg: McConfig) -> McCdf:
+    """Empirical SNR CDF of one link over a sorted gamma grid."""
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) < 0):
         raise ValueError("gamma grid must be a sorted 1-D array")
     counts = np.zeros(grid.size, dtype=np.int64)
     for idx, size in enumerate(cfg.batch_sizes()):
         rng = batch_rng(cfg.seed, idx)
-        snr = np.sort(_sample_link_snr(kind, direct, ris, budget, rng, size))
+        snr = np.sort(_sample_snr(link, rng, size))
         counts += np.searchsorted(snr, grid, side="right")
     halfwidth = math.sqrt(math.log(2.0 / 0.05) / (2.0 * cfg.trials))
     return McCdf(grid=grid, values=counts / cfg.trials, halfwidth=halfwidth, trials=cfg.trials)
 
 
-def mc_noma_outage(link_specs, alloc: PowerAllocation, rates, cfg: McConfig):
+def mc_noma_outage(links, alloc: PowerAllocation, rates, cfg: McConfig):
     """Event-level NOMA outage per ranked UAV.
 
-    link_specs is a rank-ordered list of (kind, direct, ris, budget) tuples.
-    For rank m, M i.i.d. SNRs are drawn from that UAV's own parent link, the
+    links holds one Link per rank, weakest first.  For rank m, M i.i.d.
+    SNRs are drawn from that UAV's own parent link, the
     m-th smallest is kept, and the outage event is the failure of any decode
     rate R_{m,j} (j <= m) to exceed its target -- the rate conditions
     themselves, not the simplified threshold, so this run is an independent
     check of the closed-form pipeline.
     """
     m_users = alloc.m_users
-    if len(link_specs) != m_users or len(rates) != m_users:
-        raise ValueError("need one link spec and target rate per user")
+    if len(links) != m_users or len(rates) != m_users:
+        raise ValueError("need one link and target rate per user")
     rates = [float(r) for r in rates]
     results = []
     for rank in range(1, m_users + 1):
-        kind, direct, ris, budget = link_specs[rank - 1]
         failures = 0
         for idx, size in enumerate(cfg.batch_sizes()):
             rng = batch_rng(cfg.seed + 7919 * rank, idx)
-            draws = _sample_link_snr(kind, direct, ris, budget, rng, (m_users, size))
+            draws = _sample_snr(links[rank - 1], rng, (m_users, size))
             gamma_m = np.partition(draws, rank - 1, axis=0)[rank - 1]
             ok = np.ones(size, dtype=bool)
             for j in range(1, rank + 1):

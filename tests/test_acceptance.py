@@ -16,7 +16,6 @@ from risnoma.channels import (
     composite_snr_cdf_closed,
     composite_snr_cdf_quadrature,
     direct_snr_cdf,
-    fit_laguerre,
     resolve_links,
     ris_snr_cdf,
 )
@@ -48,12 +47,11 @@ def test_criterion_1_ris_cdf_fidelity():
     start = time.monotonic()
     worst = 0.0
     for n in (16, 64):
-        ris = link.ris_params(n)
-        fit = fit_laguerre(ris)
+        ris = link.link("ris", n)
+        fit = ris.fit
         peak = gbar * fit.mean_sum**2
         grid = np.linspace(peak * 1e-3, peak * 3.0, 100)
-        mc = mc_snr_cdf("ris", link.direct_fading, ris, link.budget(), grid,
-                        McConfig(trials=1_000_000, seed=1001))
+        mc = mc_snr_cdf(ris, grid, McConfig(trials=1_000_000, seed=1001))
         gap = float(np.max(np.abs(ris_snr_cdf(fit, gbar, grid) - mc.values)))
         worst = max(worst, gap)
     elapsed = time.monotonic() - start
@@ -77,8 +75,7 @@ def test_criterion_2_composite_closed_form():
     quad = np.array([composite_snr_cdf_quadrature(fit, direct, budget, g) for g in grid])
     closed = np.array([composite_snr_cdf_closed(fit, direct, budget, g) for g in grid])
     gap_cq = float(np.max(np.abs(closed - quad)))
-    mc = mc_snr_cdf("composite", direct, link.ris_params(64), budget, grid,
-                    McConfig(trials=1_000_000, seed=1002))
+    mc = mc_snr_cdf(link.link("composite", 64), grid, McConfig(trials=1_000_000, seed=1002))
     gap_qm = float(np.max(np.abs(quad - mc.values)))
     _report(2, "composite closed form",
             gap_cq <= 1e-3 and gap_qm <= 0.01 and crossed,
@@ -130,11 +127,7 @@ def test_criterion_5_noma_outage_cross_check():
         links = _links(tx_power_dbm=ptx, m_direct=1.0)
         model = OutageModel(links, rates, link_type=link_type)
         analytic = model.outages(alloc, [n] * 3)
-        specs = [
-            (link_type, l.direct_fading, l.ris_params(n) if n else None, l.budget())
-            for l in model.links
-        ]
-        ests = mc_noma_outage(specs, alloc, rates, cfg)
+        ests = mc_noma_outage([model.link(rank, n) for rank in (1, 2, 3)], alloc, rates, cfg)
         assert any(a >= 1e-2 for a in analytic), f"no visible outage for {link_type}"
         for a_val, est in zip(analytic, ests):
             if a_val >= 1e-2:

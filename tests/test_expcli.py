@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from risnoma import expcli
 from risnoma.expcli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -206,6 +207,47 @@ class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep-links", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("cmd", ["sweep-power", "sweep-rate"])
+    def test_default_sweep_variable_mismatch(self, tmp_path, cmd):
+        # the default sweep.variable is n_elements, which only sweep-links sweeps
+        assert main([cmd, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_sweep_links_variable_mismatch(self, tmp_path):
+        cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))
+        assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+class TestMcCalls:
+    """One Monte Carlo run per grid point and link type covers every rank."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return mc_noma_outage(*args, **kwargs)
+
+        mc_noma_outage = expcli.mc_noma_outage
+        monkeypatch.setattr(expcli, "mc_noma_outage", counting)
+        return calls
+
+    def test_sweep_links(self, tmp_path, calls):
+        text = FAST_YAML.replace("grid: [0, 4, 16, 64]", "grid: [0, 4]")
+        cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
+        assert main(["sweep-links", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
+        # N=0: direct and composite (RIS-only has no path); N=4: all three
+        assert len(calls) == 5
+        rows = _read_rows(tmp_path / "sweep_links.csv")
+        assert sum(r["outage_mc"] != "" for r in rows) == 5 * 3
+
+    def test_sweep_rate(self, tmp_path, calls):
+        text = FAST_YAML.replace("variable: n_elements", "variable: target_rate")
+        text = text.replace("grid: [0, 4, 16, 64]", "grid: [0.8, 1.2]")
+        cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
+        assert main(["sweep-rate", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 2
 
 
 class TestDeterminism:

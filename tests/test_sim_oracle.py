@@ -7,14 +7,16 @@ import pytest
 from scipy import stats
 
 from risnoma.channels import (
+    Link,
+    LinkBudget,
     NakagamiParams,
     RisLinkParams,
+    composite_snr_cdf_closed,
     direct_snr_cdf,
     double_nakagami_moment,
     fit_laguerre,
     resolve_links,
 )
-from risnoma.channels import LinkBudget
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import OutageModel, PowerAllocation
 from risnoma.sim_oracle import (
@@ -74,16 +76,24 @@ class TestSamplers:
         assert ks <= 0.02
 
 
+def _links(m_direct=1.0):
+    env = EnvironmentParams()
+    scen = generate_scenario(ScenarioConfig(tx_power_dbm=25.0), 7)
+    return resolve_links(env, scen, m_direct=m_direct, m_hops=2.0)
+
+
 class TestMcSnrCdf:
     def _budget(self):
         return LinkBudget(gamma_bar_r=2.0, gamma_bar_d=10.0, gamma_bar_c=20.0,
                           amp_direct=math.sqrt(0.5))
 
+    def _direct(self, p):
+        return Link(p, None, self._budget())
+
     def test_direct_vs_closed_form(self):
         p = NakagamiParams(m=2.0, omega=1.0)
         grid = np.linspace(0.5, 60.0, 80)
-        cdf = mc_snr_cdf("direct", p, None, self._budget(), grid,
-                         McConfig(trials=1_000_000, seed=11))
+        cdf = mc_snr_cdf(self._direct(p), grid, McConfig(trials=1_000_000, seed=11))
         gap = np.abs(cdf.values - direct_snr_cdf(p, 10.0, grid))
         assert float(np.max(gap)) <= 0.005
 
@@ -91,8 +101,8 @@ class TestMcSnrCdf:
         p = NakagamiParams(m=1.5, omega=1.0)
         grid = np.linspace(0.1, 30.0, 20)
         cfg = McConfig(trials=100_000, seed=21)
-        a = mc_snr_cdf("direct", p, None, self._budget(), grid, cfg)
-        b = mc_snr_cdf("direct", p, None, self._budget(), grid, cfg)
+        a = mc_snr_cdf(self._direct(p), grid, cfg)
+        b = mc_snr_cdf(self._direct(p), grid, cfg)
         assert np.array_equal(a.values, b.values)
 
     def test_batch_split_invariance(self):
@@ -102,60 +112,73 @@ class TestMcSnrCdf:
         # statistical tolerance and the reduction is order-insensitive by type
         p = NakagamiParams(m=1.5, omega=1.0)
         grid = np.linspace(0.1, 30.0, 20)
-        a = mc_snr_cdf("direct", p, None, self._budget(), grid,
-                       McConfig(trials=200_000, seed=22, batch=50_000))
-        b = mc_snr_cdf("direct", p, None, self._budget(), grid,
-                       McConfig(trials=200_000, seed=22, batch=200_000))
+        a = mc_snr_cdf(self._direct(p), grid, McConfig(trials=200_000, seed=22, batch=50_000))
+        b = mc_snr_cdf(self._direct(p), grid, McConfig(trials=200_000, seed=22, batch=200_000))
         assert float(np.max(np.abs(a.values - b.values))) <= 2 * a.halfwidth
 
     def test_composite_n0_degenerates_to_direct(self):
-        p = NakagamiParams(m=2.0, omega=1.0)
-        grid = np.linspace(0.5, 60.0, 20)
+        link = _links()[0]
+        composite, direct = link.link("composite", 0), link.link("direct", 0)
+        assert composite == direct
+        grid = np.linspace(0.01, 10.0, 20) * link.gamma_bar_d
         cfg = McConfig(trials=100_000, seed=23)
-        a = mc_snr_cdf("composite", p, None, self._budget(), grid, cfg)
-        b = mc_snr_cdf("direct", p, None, self._budget(), grid, cfg)
+        a = mc_snr_cdf(composite, grid, cfg)
+        b = mc_snr_cdf(direct, grid, cfg)
         assert np.array_equal(a.values, b.values)
+
+    def test_ris_link_needs_elements(self):
+        with pytest.raises(ValueError):
+            _links()[0].link("ris", 0)
+
+    def test_composite_snaps_m3_in_cdf_only(self):
+        # the closed form runs at the half-integer m3; samples keep the exact m3
+        link = _links(m_direct=1.3)[0]
+        composite = link.link("composite", 16)
+        snapped = link.rounded_direct()
+        assert (composite.direct.m, snapped.m) == (1.3, 1.5)
+        budget = composite.budget
+        amp_mean = budget.amp_ris * composite.fit.mean_sum + budget.amp_direct
+        grid = np.linspace(0.2, 3.0, 8) * budget.gamma_bar_c * amp_mean**2
+        for g in grid:
+            assert composite.cdf(g) == composite_snr_cdf_closed(composite.fit, snapped, budget, g)
+        cfg = McConfig(trials=20_000, seed=25)
+        drawn = mc_snr_cdf(composite, grid, cfg).values
+        exact = Link(link.direct_fading, link.ris_params(16), budget)
+        assert np.array_equal(drawn, mc_snr_cdf(exact, grid, cfg).values)
+        rounded = Link(snapped, link.ris_params(16), budget)
+        assert not np.array_equal(drawn, mc_snr_cdf(rounded, grid, cfg).values)
 
     def test_monotone_in_01(self):
         p = NakagamiParams(m=2.0, omega=1.0)
         grid = np.linspace(0.0, 80.0, 50)
-        cdf = mc_snr_cdf("ris", p, _ris(16), self._budget(), grid,
+        cdf = mc_snr_cdf(Link(None, _ris(16), self._budget()), grid,
                          McConfig(trials=50_000, seed=24))
         assert np.all(np.diff(cdf.values) >= 0)
         assert np.all((cdf.values >= 0) & (cdf.values <= 1))
 
     def test_dkw_halfwidth(self):
         cfg = McConfig(trials=1_000_000, seed=1)
-        cdf = mc_snr_cdf("direct", NakagamiParams(m=1.0), None, self._budget(),
-                         np.array([1.0]), cfg)
+        cdf = mc_snr_cdf(self._direct(NakagamiParams(m=1.0)), np.array([1.0]), cfg)
         assert cdf.halfwidth == pytest.approx(
             math.sqrt(math.log(2 / 0.05) / (2 * 1e6)), rel=1e-12
         )
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
-            mc_snr_cdf("direct", NakagamiParams(m=1.0), None, self._budget(),
-                       np.array([2.0, 1.0]), McConfig(trials=10, seed=0))
+            mc_snr_cdf(self._direct(NakagamiParams(m=1.0)), np.array([2.0, 1.0]),
+                       McConfig(trials=10, seed=0))
 
 
 class TestMcNomaOutage:
-    def _specs(self, tx_power_dbm=25.0, link_type="direct", n=16):
-        env = EnvironmentParams()
-        scen = generate_scenario(ScenarioConfig(tx_power_dbm=tx_power_dbm), 7)
-        links = resolve_links(env, scen, m_direct=1.0, m_hops=2.0)
-        model = OutageModel(links, (1.0, 1.0, 1.0), link_type=link_type)
-        specs = [
-            (link_type, l.direct_fading, l.ris_params(n) if link_type != "direct" else None,
-             l.budget())
-            for l in model.links
-        ]
-        return model, specs
+    def _model(self):
+        model = OutageModel(_links(), (1.0, 1.0, 1.0), link_type="direct")
+        return model, [model.link(rank, 0) for rank in (1, 2, 3)]
 
     def test_single_user_rayleigh_oracle(self):
         p = NakagamiParams(m=1.0, omega=1.0)
         budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=10.0, gamma_bar_c=20.0,
                             amp_direct=math.sqrt(0.5))
-        est = mc_noma_outage([("direct", p, None, budget)], PowerAllocation((1.0,)),
+        est = mc_noma_outage([Link(p, None, budget)], PowerAllocation((1.0,)),
                              (1.0,), McConfig(trials=400_000, seed=31))[0]
         assert est.value == pytest.approx(1 - math.exp(-0.1), abs=0.005)
 
@@ -163,23 +186,23 @@ class TestMcNomaOutage:
         p = NakagamiParams(m=1.0, omega=1.0)
         budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=1e9, gamma_bar_c=2e9,
                             amp_direct=math.sqrt(0.5))
-        est = mc_noma_outage([("direct", p, None, budget)], PowerAllocation((1.0,)),
+        est = mc_noma_outage([Link(p, None, budget)], PowerAllocation((1.0,)),
                              (1.0,), McConfig(trials=100_000, seed=32))[0]
         assert est.value == 0.0
 
     def test_cross_validates_analytic_direct(self):
-        model, specs = self._specs()
+        model, links = self._model()
         alloc = PowerAllocation((0.7, 0.2, 0.1))
-        ests = mc_noma_outage(specs, alloc, model.rates, McConfig(trials=400_000, seed=33))
+        ests = mc_noma_outage(links, alloc, model.rates, McConfig(trials=400_000, seed=33))
         for rank, est in enumerate(ests, start=1):
             analytic = model.outage(rank, alloc, 0)
             if analytic >= 1e-2 or est.value >= 1e-2:
                 assert abs(analytic - est.value) <= 0.01 + est.halfwidth
 
     def test_determinism(self):
-        model, specs = self._specs()
+        model, links = self._model()
         alloc = PowerAllocation((0.7, 0.2, 0.1))
         cfg = McConfig(trials=50_000, seed=34)
-        a = mc_noma_outage(specs, alloc, model.rates, cfg)
-        b = mc_noma_outage(specs, alloc, model.rates, cfg)
+        a = mc_noma_outage(links, alloc, model.rates, cfg)
+        b = mc_noma_outage(links, alloc, model.rates, cfg)
         assert [e.value for e in a] == [e.value for e in b]
