@@ -25,6 +25,7 @@ from scipy import integrate as _integrate
 
 from . import environment as env_mod
 from .special_math import (
+    _checked,
     binomial,
     gamma as gamma_fn,
     q_function,
@@ -180,9 +181,7 @@ def ris_snr_cdf(fit: LaguerreFit, gamma_bar_r: float, gamma):
     """CDF of the RIS-only SNR: P(a, sqrt(gamma / (gamma_bar_r b^2)))."""
     if gamma_bar_r <= 0:
         raise ValueError("gamma_bar_r must be positive")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
-        raise ValueError("gamma must be nonnegative")
+    gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     return reg_lower_inc_gamma(fit.a, np.sqrt(gamma / gamma_bar_r) / fit.b)
 
 
@@ -216,9 +215,7 @@ def direct_snr_cdf(p: NakagamiParams, gamma_bar_d: float, gamma):
     """CDF of the direct-link SNR: P(m3, m3 gamma / (Omega3 gamma_bar_d))."""
     if gamma_bar_d <= 0:
         raise ValueError("gamma_bar_d must be positive")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
-        raise ValueError("gamma must be nonnegative")
+    gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     return reg_lower_inc_gamma(p.m, p.m * gamma / (p.omega * gamma_bar_d))
 
 

@@ -404,7 +404,7 @@ def run_sweep_rate(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled: 
     return _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, "target_rate", "sweep_rate.csv")
 
 
-def run_ruom_report(cfg: ExperimentConfig, seed: int, out_dir: Path, max_workers=None):
+def run_ruom_report(cfg: ExperimentConfig, seed: int, out_dir: Path):
     """Run the optimizer for each configured scaling factor and dump traces."""
     links = _resolved_links(cfg, seed)
     rows = []
@@ -412,7 +412,7 @@ def run_ruom_report(cfg: ExperimentConfig, seed: int, out_dir: Path, max_workers
     for lam in cfg.ruom.lambdas:
         rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
         model = OutageModel(links, rates, link_type="composite")
-        result = ruom(model, cfg.ruom.params(lam), max_workers=max_workers)
+        result = ruom(model, cfg.ruom.params(lam))
         for rec in result.trace.iterations:
             for rank in range(1, model.m_users + 1):
                 rows.append(
@@ -530,7 +530,6 @@ def _add_common(parser):
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--mc", action=argparse.BooleanOptionalAction, default=None,
                         help="enable/disable the Monte Carlo columns")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel worker count")
 
 
 def _prepare(args):
@@ -566,7 +565,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-rate":
             run_sweep_rate(cfg, seed, out_dir, mc_enabled)
         elif args.command == "ruom":
-            summary = run_ruom_report(cfg, seed, out_dir, max_workers=args.jobs)
+            summary = run_ruom_report(cfg, seed, out_dir)
             for lam, entry in summary.items():
                 status = "converged" if entry["converged"] else "max-iter"
                 print(f"lambda={lam}: {status} after {entry['iterations']} iterations, "

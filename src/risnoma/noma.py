@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .special_math import binomial
+from .special_math import _checked, binomial
 
 __all__ = [
     "InfeasibleAllocationError",
@@ -130,9 +130,9 @@ def ordered_cdf(parent_cdf_value, m: int, total: int):
     """CDF of the m-th smallest of `total` i.i.d. draws, given the parent CDF value."""
     if not 1 <= m <= total:
         raise ValueError("rank out of range")
+    _checked(parent_cdf_value, lambda v: (v < 0.0) | (v > 1.0),
+             "parent CDF value must lie in [0, 1]")
     f = np.asarray(parent_cdf_value, dtype=float)
-    if np.any((f < 0.0) | (f > 1.0)):
-        raise ValueError("parent CDF value must lie in [0, 1]")
     acc = np.zeros_like(f)
     for n in range(total - m + 1):
         acc += binomial(total - m, n) * (-1.0) ** n * f ** (m + n) / (m + n)

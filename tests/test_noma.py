@@ -22,6 +22,12 @@ from risnoma.noma import (
 ALLOC2 = PowerAllocation((0.8, 0.2))
 
 
+def _forms(v):
+    """The integral value v as a Python float, a Python int, np.float64, a
+    0-d array and (beside a valid 0.5) a 1-d array."""
+    return (float(v), int(v), np.float64(v), np.array(float(v)), np.array([0.5, float(v)]))
+
+
 class TestPowerAllocation:
     def test_valid(self):
         a = PowerAllocation((0.7, 0.2, 0.1))
@@ -150,6 +156,29 @@ class TestOrderedCdf:
             ordered_cdf(0.5, 4, 3)
         with pytest.raises(ValueError):
             ordered_cdf(1.2, 1, 3)
+
+    @pytest.mark.parametrize("form", range(5), ids=("float", "int", "float64", "0d", "1d"))
+    def test_domain_forms(self, form):
+        # outside [0, 1] raises for every form; the ends themselves pass
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                ordered_cdf(_forms(bad)[form], 2, 3)
+        for end in (0, 1):
+            ordered_cdf(_forms(end)[form], 2, 3)
+
+    def test_return_types(self):
+        *scalars, array = _forms(1)
+        values = [ordered_cdf(f, 2, 3) for f in scalars]
+        assert all(type(v) is float for v in values)
+        assert len(set(values)) == 1
+        out = ordered_cdf(array, 2, 3)
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert out[1] == values[0]
+
+    def test_nan_and_empty_pass(self):
+        assert math.isnan(ordered_cdf(math.nan, 2, 3))
+        assert np.isnan(ordered_cdf(np.array([math.nan]), 2, 3)).all()
+        assert ordered_cdf(np.array([]), 2, 3).shape == (0,)
 
 
 class TestOutageProbability:

@@ -12,7 +12,11 @@ from risnoma.noma import OutageModel, PowerAllocation
 from risnoma.ruom import (
     NoFeasibleAllocationError,
     RisAssignment,
+    RisCapacityExhausted,
+    RuomIteration,
     RuomParams,
+    RuomResult,
+    RuomTrace,
     evaluate_candidates,
     pgs,
     ruom,
@@ -59,13 +63,79 @@ def _round12(betas):
     return {tuple(round(b, 12) for b in beta) for beta in betas}
 
 
-def _model(n_uavs=3, tx_power_dbm=30.0, seed=7, rates=1.0):
+def _model(n_uavs=3, tx_power_dbm=30.0, seed=7, rates=1.0, shapes=(1.0, 2.0), **scenario):
+    """Composite-link model of one drop; shapes=None keeps the LoS-fitted
+    Nakagami shapes, otherwise (m_direct, m_hops) pins them."""
     env = EnvironmentParams()
     scen = generate_scenario(
-        ScenarioConfig(n_uavs=n_uavs, tx_power_dbm=tx_power_dbm), seed
+        ScenarioConfig(n_uavs=n_uavs, tx_power_dbm=tx_power_dbm, **scenario), seed
     )
-    links = resolve_links(env, scen, m_direct=1.0, m_hops=2.0)
+    m_direct, m_hops = shapes or (None, None)
+    links = resolve_links(env, scen, m_direct=m_direct, m_hops=m_hops)
     return OutageModel(links, (rates,) * n_uavs, link_type="composite")
+
+
+def ruom_walk(model, params):
+    """Reference RUOM whose efficiency stage walks each rank's element count
+    one step at a time: down while the outage stays below delta, then up
+    until it does or the RIS is full.  The fairness stage is ruom's own."""
+    m_users = model.m_users
+    caps = {link.ris: link.max_ris_elements for link in model.links}
+    n_per_rank = [0] * m_users
+    trace = RuomTrace()
+    beta_prev, converged = None, False
+
+    def shared_elements(ris_k):
+        return sum(n_per_rank[i] for i in range(m_users) if model.links[i].ris == ris_k)
+
+    for t in range(1, params.max_iter + 1):
+        eps_sr, beta_t = params.eps_in, None
+        while eps_sr > params.eps_ac:
+            candidates = pgs(beta_t, eps_sr, model.rates, m_users)
+            if not candidates and beta_t is None:
+                raise NoFeasibleAllocationError("coarsest global grid infeasible")
+            if candidates:
+                beta_t = evaluate_candidates(
+                    candidates, lambda b: max(model.outages(b, n_per_rank))
+                )
+            eps_sr *= params.lam
+        for m in range(1, m_users + 1):
+            idx, ris_k = m - 1, model.links[m - 1].ris
+            while n_per_rank[idx] >= 1 and model.outage(m, beta_t, n_per_rank[idx]) < params.delta:
+                n_per_rank[idx] -= 1
+            while True:
+                out_m = model.outage(m, beta_t, n_per_rank[idx])
+                if out_m < params.delta:
+                    break
+                if shared_elements(ris_k) >= caps[ris_k]:
+                    trace.events.append(RisCapacityExhausted(t, m, ris_k, out_m))
+                    break
+                n_per_rank[idx] += 1
+        outs = model.outages(beta_t, n_per_rank)
+        trace.iterations.append(
+            RuomIteration(t, beta_t.beta, tuple(n_per_rank), tuple(outs), max(outs), sum(n_per_rank))
+        )
+        if beta_prev is not None:
+            if math.sqrt(sum((a - b) ** 2 for a, b in zip(beta_t.beta, beta_prev.beta))) < params.eps_conv:
+                converged = True
+                break
+        beta_prev = beta_t
+    assignment = RisAssignment(
+        n=tuple((model.links[i].ris, n_per_rank[i]) for i in range(m_users)), caps=caps
+    )
+    return RuomResult(beta_t, assignment, trace, converged, len(trace.iterations))
+
+
+# (n_uavs, tx_power_dbm, rate in bpc, drop seed, fading shapes or None for LoS fit)
+WALK_PARITY_CASES = [
+    (4, 30.0, 0.5, 1, (1.0, 2.0)),  # rank 2 trims 60 -> 58 -> 57 across iterations
+    (4, 30.0, 0.5, 3, None),  # rank 1 fills its RIS and misses delta
+    (3, 24.0, 1.0, 7, None),  # trims across five iterations and fills a RIS
+    (3, 30.0, 1.0, 4, (1.0, 2.0)),  # trims 956 -> 675 over nine iterations
+    (3, 28.0, 1.0, 4, (1.0, 2.0)),  # grows 858 -> 886 across iterations
+    (2, 24.0, 1.0, 5, None),  # two UAVs: rank 2 trims 253 -> 246
+    (3, 30.0, 1.0, 6, None),  # direct links alone meet delta
+]
 
 
 class TestPgs:
@@ -131,15 +201,6 @@ class TestEvaluateCandidates:
         b = PowerAllocation((0.8, 0.2))
         winner = evaluate_candidates([b, a], lambda x: 1.0)
         assert winner.beta == (0.7, 0.3)
-
-    def test_parallel_matches_serial(self):
-        cands = pgs(None, 0.02, (1.0, 1.0, 1.0), 3)
-        assert len(cands) > 50
-        model = _model()
-        obj = lambda b: max(model.outages(b, [16, 16, 16]))
-        serial = evaluate_candidates(cands, obj)
-        parallel = evaluate_candidates(cands, obj, max_workers=4)
-        assert serial.beta == parallel.beta
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -214,15 +275,58 @@ class TestRuom:
         ev = res.trace.events[0]
         assert ev.outage >= 1e-3 and ev.rank >= 1
 
-    def test_parallel_matches_serial(self):
-        model = _model(tx_power_dbm=28.0)
-        params = RuomParams(lam=0.1, delta=1e-3)
-        serial = ruom(model, params)
-        parallel = ruom(model, params, max_workers=4)
-        assert serial.beta_star.beta == parallel.beta_star.beta
-        assert [r.n_per_rank for r in serial.trace.iterations] == [
-            r.n_per_rank for r in parallel.trace.iterations
-        ]
+    @pytest.mark.parametrize("n_uavs,tx_power_dbm,rate,seed,shapes", WALK_PARITY_CASES)
+    def test_bisection_matches_walk(self, n_uavs, tx_power_dbm, rate, seed, shapes):
+        kwargs = dict(n_uavs=n_uavs, tx_power_dbm=tx_power_dbm, seed=seed, rates=rate, shapes=shapes)
+        params = RuomParams()
+        assert ruom(_model(**kwargs), params) == ruom_walk(_model(**kwargs), params)
+
+    def test_capacity_exhausted_rank_takes_what_is_left(self):
+        # three UAVs share one 8-element RIS at 20 dBm: rank 1 takes all 8
+        # and still misses delta, which leaves ranks 2 and 3 none
+        kwargs = dict(tx_power_dbm=20.0, seed=4, n_ris=1, max_ris_elements=8)
+        model = _model(**kwargs)
+        res = ruom(model, RuomParams())
+        assert res == ruom_walk(_model(**kwargs), RuomParams())
+        assert [rec.n_per_rank for rec in res.trace.iterations] == [(8, 0, 0)] * 2
+        events = {(ev.iteration, ev.rank): ev for ev in res.trace.events}
+        assert sorted(events) == [(t, m) for t in (1, 2) for m in (1, 2, 3)]
+        for rec in res.trace.iterations:
+            for m in (1, 2, 3):
+                ev = events[rec.t, m]
+                assert ev.ris == 0
+                assert ev.outage == model.outage(m, PowerAllocation(rec.beta), rec.n_per_rank[m - 1])
+                assert ev.outage >= 1e-3
+
+    def test_efficiency_stage_outage_calls_logarithmic(self, monkeypatch):
+        # the walk takes one outage call per element: 800+ here
+        model = _model(n_uavs=4, rates=0.5, seed=1)
+        log, in_outages = [], []
+        outage, outages = OutageModel.outage, OutageModel.outages
+
+        def counted_outage(self, *args):
+            if not in_outages:
+                log.append("o")
+            return outage(self, *args)
+
+        def marked_outages(self, *args):
+            log.append("|")
+            in_outages.append(True)
+            try:
+                return outages(self, *args)
+            finally:
+                in_outages.pop()
+
+        monkeypatch.setattr(OutageModel, "outage", counted_outage)
+        monkeypatch.setattr(OutageModel, "outages", marked_outages)
+        res = ruom(model, RuomParams())
+        # fairness calls go through outages(); an efficiency stage is a run
+        # of direct outage() calls between two of them
+        stages = [len(run) for run in "".join(log).split("|") if run]
+        assert len(stages) == res.iterations
+        cap = max(link.max_ris_elements for link in model.links)
+        assert res.assignment.total > 500
+        assert max(stages) <= model.m_users * (math.ceil(math.log2(cap + 1)) + 1)
 
     def test_brute_force_minimax(self):
         # converged max-outage is no worse than the best coarse-grid vector

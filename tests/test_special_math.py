@@ -5,6 +5,7 @@ arbitrary-precision evaluation (mpmath, 25+ digits) of each function's
 integral definition; live quadrature oracles re-derive a subset at runtime.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -94,6 +95,57 @@ class TestIncompleteGamma:
             lower_inc_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             upper_inc_gamma(1.0, -0.1)
+
+
+INC_GAMMA = (lower_inc_gamma, upper_inc_gamma, reg_lower_inc_gamma, reg_upper_inc_gamma)
+FORM_IDS = ("float", "int", "float64", "0d", "1d")
+
+
+def _forms(v):
+    """The integral value v as a Python float, a Python int, np.float64, a
+    0-d array and (beside a valid 2.0) a 1-d array."""
+    return (float(v), int(v), np.float64(v), np.array(float(v)), np.array([2.0, float(v)]))
+
+
+class TestDomainCheckForms:
+    """Every argument form meets the same domain check and keeps its return type."""
+
+    @pytest.mark.parametrize("x", _forms(0), ids=FORM_IDS)
+    def test_gamma_boundary(self, x):
+        with pytest.raises(ValueError, match="gamma requires x > 0"):
+            gamma(x)
+
+    @pytest.mark.parametrize("fn", INC_GAMMA)
+    @pytest.mark.parametrize("form", range(5), ids=FORM_IDS)
+    def test_inc_gamma_boundary(self, fn, form):
+        with pytest.raises(ValueError, match="requires s > 0"):
+            fn(_forms(0)[form], 1.0)
+        with pytest.raises(ValueError, match="requires x >= 0"):
+            fn(1.0, _forms(-1)[form])
+        fn(1.0, _forms(0)[form])
+
+    @pytest.mark.parametrize(
+        "fn", (gamma,) + tuple(functools.partial(f, 1.5) for f in INC_GAMMA),
+        ids=("gamma",) + tuple(f.__name__ for f in INC_GAMMA),
+    )
+    def test_return_types(self, fn):
+        *scalars, array = _forms(2)
+        values = [fn(x) for x in scalars]
+        assert all(type(v) is float for v in values)
+        assert len(set(values)) == 1
+        out = fn(array)
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+        assert out[1] == values[0]
+
+    def test_nan_and_empty_pass(self):
+        assert math.isnan(gamma(math.nan))
+        assert np.isnan(gamma(np.array([math.nan]))).all()
+        assert gamma(np.array([])).shape == (0,)
+        for fn in INC_GAMMA:
+            assert math.isnan(fn(math.nan, 1.0)) and math.isnan(fn(1.0, math.nan))
+            assert np.isnan(fn(np.array([math.nan]), 1.0)).all()
+            assert fn(1.0, np.array([])).shape == (0,)
+            assert fn(np.array([]), 1.0).shape == (0,)
 
 
 class TestBesselK:
