@@ -485,9 +485,7 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     budget = comp.budget
     amp_mean = budget.amp_ris * comp.fit.mean_sum + budget.amp_direct
     grid = np.linspace(1e-3, 4.0, 60) * budget.gamma_bar_c * amp_mean**2
-    quad_vals = np.array(
-        [composite_snr_cdf_quadrature(comp.fit, comp.direct, budget, g) for g in grid]
-    )
+    quad_vals = composite_snr_cdf_quadrature(comp.fit, comp.direct, budget, grid)
     closed_vals = np.array([comp.cdf(g) for g in grid])
     _check(report, "composite_closed_vs_quadrature",
            float(np.max(np.abs(closed_vals - quad_vals))), tols.closed_vs_quadrature_tol)

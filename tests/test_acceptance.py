@@ -72,7 +72,7 @@ def test_criterion_2_composite_closed_form():
         np.linspace(0.02, 3.5, 50) * budget.gamma_bar_c * amp_mean**2,
     ]))
     crossed = grid.min() < branch_gamma < grid.max()
-    quad = np.array([composite_snr_cdf_quadrature(fit, direct, budget, g) for g in grid])
+    quad = composite_snr_cdf_quadrature(fit, direct, budget, grid)
     closed = np.array([composite_snr_cdf_closed(fit, direct, budget, g) for g in grid])
     gap_cq = float(np.max(np.abs(closed - quad)))
     mc = mc_snr_cdf(link.link("composite", 64), grid, McConfig(trials=1_000_000, seed=1002))

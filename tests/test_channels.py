@@ -5,13 +5,17 @@ Monte Carlo oracles here use moderate trial counts for speed; the full
 """
 
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from risnoma import expcli
 from risnoma.channels import (
     LaguerreFit,
+    Link,
     LinkBudget,
     NakagamiParams,
     RisLinkParams,
@@ -241,9 +245,14 @@ def _forms(v):
 
 
 FORM_IDS = ("float", "int", "float64", "0d", "1d")
+# gamma_bar_c = 1 and ghat_r = 0.1: the knee of the composite reference at
+# gamma = 2 sits at sqrt(2) - 0.1 * E[S] = 0.003.
+UNIT_BUDGET = LinkBudget(gamma_bar_r=0.01, gamma_bar_d=1.0, gamma_bar_c=1.0, amp_direct=1.0)
 SNR_CDFS = {
     "direct": lambda g: direct_snr_cdf(M2, 5.0, g),
     "ris": lambda g: ris_snr_cdf(fit_laguerre(_ris(16, m=2.0)), 10.0, g),
+    "composite_reference": lambda g: composite_snr_cdf_quadrature(
+        fit_laguerre(_ris(16, m=2.0)), M2, UNIT_BUDGET, g),
 }
 
 
@@ -274,11 +283,122 @@ class TestSnrCdfDomainForms:
         assert cdf(np.array([])).shape == (0,)
 
 
+def _mp_composite_cdf(fit, direct, budget, gamma):
+    """Composite CDF P(ghat_r S + ghat_d w <= T) by mpmath.quad at 30 digits.
+
+    Integrates the other order of the convolution, int_0^{T/ghat_r} f_S(s)
+    F_{|g^d|}(T - ghat_r s) ds, with breakpoints at the knee s = E[S] and
+    8 standard deviations of S either side of it.
+    """
+    with mpmath.workdps(30):
+        big_t = mpmath.sqrt(mpmath.mpf(gamma) / budget.gamma_bar_c)
+        amp_r = mpmath.sqrt(mpmath.mpf(budget.gamma_bar_r) / budget.gamma_bar_c)
+        a, b = mpmath.mpf(fit.a), mpmath.mpf(fit.b)
+        m = mpmath.mpf(direct.m)
+        lam = m / (direct.omega * mpmath.mpf(budget.amp_direct) ** 2)
+        log_norm = mpmath.loggamma(a) + a * mpmath.log(b)
+        top = big_t / amp_r
+
+        def integrand(s):
+            x = big_t - amp_r * s
+            if s <= 0 or x <= 0:
+                return mpmath.mpf(0)
+            pdf_s = mpmath.exp((a - 1) * mpmath.log(s) - s / b - log_norm)
+            return pdf_s * mpmath.gammainc(m, 0, lam * x * x, regularized=True)
+
+        mean, sigma = mpmath.mpf(fit.mean_sum), mpmath.mpf(fit.sigma_sum)
+        knee = [mean - 8 * sigma, mean, mean + 8 * sigma]
+        points = sorted({p for p in [0, top, *knee] if 0 <= p <= top})
+        return float(mpmath.quad(integrand, points))
+
+
+VALIDATE_YAML = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "validate.yaml"
+SWEEP_LINKS_YAML = VALIDATE_YAML.with_name("sweep-links.yaml")
+
+
+def _strongest_ris_link(config_path, drop):
+    cfg = expcli.load_config(config_path)
+    return max(expcli._resolved_links(cfg, drop), key=lambda l: l.gamma_bar_r)
+
+
+class TestCompositeQuadratureVsMpmath:
+    """The fixed-node reference within 1e-9 of a 30-digit mpmath integral."""
+
+    TOL = 1e-9
+
+    def _assert_matches(self, fit, direct, budget, grid):
+        values = composite_snr_cdf_quadrature(fit, direct, budget, grid)
+        exact = np.array([_mp_composite_cdf(fit, direct, budget, g) for g in grid])
+        assert np.max(np.abs(values - exact)) <= self.TOL
+
+    @pytest.mark.parametrize("drop", (5, 25))
+    def test_validate_drops(self, drop):
+        # the validate grid at N = 64, where the adaptive quadrature this rule
+        # replaced was off by up to 1.1e-4 or raised
+        link = _strongest_ris_link(VALIDATE_YAML, drop)
+        comp = Link(link.rounded_direct(), link.ris_params(64), link.budget())
+        b = comp.budget
+        amp_mean = b.amp_ris * comp.fit.mean_sum + b.amp_direct
+        grid = np.linspace(1e-3, 4.0, 60)[::6] * b.gamma_bar_c * amp_mean**2
+        self._assert_matches(comp.fit, comp.direct, b, grid)
+
+    @pytest.mark.parametrize("drop", (0, 1, 2))
+    @pytest.mark.parametrize("n", (1, 16, 1024))
+    def test_benchmark_gap_sample(self, drop, n):
+        # the strongest-RIS link of the drop, at the benchmark's gap points
+        link = _strongest_ris_link(SWEEP_LINKS_YAML, drop)
+        fit, b = link.laguerre(n), link.budget()
+        amp_mean = b.amp_ris * fit.mean_sum + b.amp_direct
+        grid = np.linspace(0.05, 4.0, 8)[[0, 2, 3, 5]] * b.gamma_bar_c * amp_mean**2
+        self._assert_matches(fit, link.rounded_direct(), b, grid)
+
+    def test_largest_los_shape(self):
+        # m3 = 8.5 is the largest half-integer the LoS fit reaches
+        link = _table_i_link(m_direct=8.5)
+        fit, b = link.laguerre(16), link.budget()
+        amp_mean = b.amp_ris * fit.mean_sum + b.amp_direct
+        grid = np.array([0.3, 0.8, 1.0, 1.2, 2.0]) * b.gamma_bar_c * amp_mean**2
+        self._assert_matches(fit, link.direct_fading, b, grid)
+
+    @pytest.mark.parametrize("m_hops", (1.0, 0.5))
+    def test_small_fitted_shape(self, m_hops):
+        # one element of Rayleigh (a = 1.6) or m = 0.5 hops (a = 0.68): F_S
+        # grows like s^a from s = 0 and its exponential tail runs on past
+        # E[S] + 8 sigma_S, where panels over the knee alone stop
+        link = _table_i_link(seed=1, m_direct=8.5, m_hops=m_hops)
+        fit, b = link.laguerre(1), link.budget()
+        amp_mean = b.amp_ris * fit.mean_sum + b.amp_direct
+        grid = np.array([0.3, 0.7, 1.0, 1.4, 2.0]) * b.gamma_bar_c * amp_mean**2
+        self._assert_matches(fit, link.direct_fading, b, grid)
+
+    @pytest.mark.parametrize("sigmas", (2.0, 8.5))
+    def test_knee_below_zero(self, sigmas):
+        # T = ghat_r (E[S] - sigmas * sigma_S) puts the knee below 0; at 8.5
+        # sigmas no knee or tail panel is left inside [0, T] and the CDF is
+        # ~1e-39
+        link = _table_i_link()
+        fit, b = link.laguerre(64), link.budget()
+        big_t = b.amp_ris * (fit.mean_sum - sigmas * fit.sigma_sum)
+        self._assert_matches(fit, link.direct_fading, b, [b.gamma_bar_c * big_t**2])
+
+
 class TestCompositeQuadrature:
     def test_zero_gamma(self):
         link = _table_i_link()
         assert composite_snr_cdf_quadrature(link.laguerre(16), link.direct_fading,
                                             link.budget(), 0.0) == 0.0
+
+    def test_array_matches_scalars(self):
+        link = _table_i_link()
+        fit, b = link.laguerre(16), link.budget()
+        amp_mean = b.amp_ris * fit.mean_sum + b.amp_direct
+        grid = np.linspace(0.0, 3.0, 13) * b.gamma_bar_c * amp_mean**2
+        values = composite_snr_cdf_quadrature(fit, link.direct_fading, b, grid)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape
+        assert values[0] == 0.0
+        assert values.tolist() == [
+            composite_snr_cdf_quadrature(fit, link.direct_fading, b, g) for g in grid
+        ]
 
     def test_no_ris_degenerates_to_direct(self):
         link = _table_i_link()
@@ -299,8 +419,8 @@ class TestCompositeQuadrature:
                + b.amp_direct * sample_nakagami(link.direct_fading, rng, 200_000))
         snr = b.gamma_bar_c * amp**2
         emp = np.searchsorted(np.sort(snr), grid, side="right") / snr.size
-        quad_vals = [composite_snr_cdf_quadrature(fit, link.direct_fading, b, g) for g in grid]
-        assert np.max(np.abs(np.array(quad_vals) - emp)) <= 0.01
+        quad_vals = composite_snr_cdf_quadrature(fit, link.direct_fading, b, grid)
+        assert np.max(np.abs(quad_vals - emp)) <= 0.01
 
 
 class TestCompositeClosed:

@@ -1,7 +1,11 @@
 """Config ingestion, sweep runners, validation driver and CLI exit codes."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +201,29 @@ class TestValidateCommand:
         text = FAST_YAML + "validation:\n  closed_vs_quadrature_tol: 1.0e-15\n"
         cfg = _write(tmp_path, text)
         assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_VALIDATION
+
+
+class TestValidateFormerQuadratureFailures:
+    """Drops of the benchmark's validate config where the adaptive quadrature
+    this reference replaced raised RuntimeError."""
+
+    @pytest.mark.parametrize("drop", (5, 25, 30, 36))
+    def test_returns_report(self, tmp_path, drop):
+        cfg = load_config(Path(__file__).resolve().parent.parent
+                          / "perfbench" / "configs" / "validate.yaml")
+        cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, trials=2000, batch=2000))
+        report = expcli.validate(cfg, drop, tmp_path)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["composite_closed_vs_quadrature"]["passed"]
+        assert "composite_quadrature_vs_mc" in checks
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    src = str(Path(expcli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import risnoma.expcli, sys; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCliErrors:
