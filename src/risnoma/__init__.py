@@ -39,12 +39,10 @@ from .environment import (
 from .noma import (
     InfeasibleAllocationError,
     OutageModel,
-    OutageQuery,
     PowerAllocation,
     achievable_rate,
     decode_rate,
     ordered_cdf,
-    outage_probability,
     sic_thresholds,
 )
 from .ruom import (

@@ -94,7 +94,6 @@ class Scenario:
     tx_power_dbm: float
     bandwidth_hz: float
     noise_temp_k: float
-    target_rates_bpc: tuple
     cell_radius_m: float
     seed: int
 
@@ -136,7 +135,6 @@ class ScenarioConfig:
     tx_power_dbm: float = 37.0
     bandwidth_hz: float = 40e6
     noise_temp_k: float = 290.0
-    target_rate_bpc: float = 1.0
 
     def __post_init__(self):
         if self.n_uavs < 1 or self.n_ris < 1:
@@ -150,8 +148,6 @@ class ScenarioConfig:
             raise ValueError("max_ris_elements must be >= 1")
         if self.bandwidth_hz <= 0 or self.noise_temp_k <= 0:
             raise ValueError("bandwidth and temperature must be positive")
-        if self.target_rate_bpc <= 0:
-            raise ValueError("target rate must be positive")
 
 
 def los_probability(env: EnvironmentParams, a: Position3D, b: Position3D) -> float:
@@ -241,7 +237,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         tx_power_dbm=config.tx_power_dbm,
         bandwidth_hz=config.bandwidth_hz,
         noise_temp_k=config.noise_temp_k,
-        target_rates_bpc=tuple(config.target_rate_bpc for _ in range(config.n_uavs)),
         cell_radius_m=config.cell_radius_m,
         seed=seed,
     )

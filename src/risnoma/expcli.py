@@ -23,7 +23,7 @@ import yaml
 from . import __version__
 from .channels import LINK_KINDS, Link, composite_snr_cdf_quadrature, resolve_links
 from .environment import EnvironmentParams, ScenarioConfig, generate_scenario
-from .noma import OutageModel, PowerAllocation, ordered_cdf
+from .noma import OutageModel, PowerAllocation, _sic_margins, ordered_cdf
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
 from .sim_oracle import McConfig, mc_noma_outage, mc_snr_cdf
 
@@ -175,12 +175,6 @@ class ValidateBlock:
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "results"
-    formats: tuple = ("csv",)
-
-    def __post_init__(self):
-        for fmt in self.formats:
-            if fmt not in ("csv",):
-                raise ConfigError(f"output format {fmt!r} not supported")
 
 
 @dataclass(frozen=True)
@@ -301,7 +295,17 @@ def _allocation(cfg: ExperimentConfig, model: OutageModel) -> PowerAllocation:
     total = math.fsum(float(b) for b in beta)
     if abs(total - 1.0) > 1e-3:
         raise ConfigError(f"noma.beta must sum to one, got {total}")
-    return PowerAllocation(tuple(float(b) / total for b in beta))
+    beta = tuple(float(b) / total for b in beta)
+    for j, (_, margin) in enumerate(_sic_margins(beta, model.rates, model.m_users), start=1):
+        if not margin > 0.0:
+            raise ConfigError(
+                f"noma.beta breaks SIC at rank {j} for target rate {model.rates[j - 1]:g} bpc: "
+                f"(2^R - 1) times the coefficients above rank {j} must stay below beta_{j}"
+            )
+    try:
+        return PowerAllocation(beta)
+    except ValueError as exc:
+        raise ConfigError(f"noma.beta: {exc}") from exc
 
 
 def _fmt(value) -> str:

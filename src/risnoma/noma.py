@@ -19,12 +19,10 @@ from .special_math import _checked, binomial
 __all__ = [
     "InfeasibleAllocationError",
     "PowerAllocation",
-    "OutageQuery",
     "achievable_rate",
     "decode_rate",
     "sic_thresholds",
     "ordered_cdf",
-    "outage_probability",
     "OutageModel",
 ]
 
@@ -65,24 +63,6 @@ class PowerAllocation:
         return math.fsum(self.beta[j:])
 
 
-@dataclass(frozen=True)
-class OutageQuery:
-    """Outage evaluation request for one ranked user against its parent CDF."""
-
-    rank_m: int
-    total_m: int
-    parent_cdf: object  # callable gamma -> F(gamma)
-    target_rates: tuple
-
-    def __post_init__(self):
-        if not 1 <= self.rank_m <= self.total_m:
-            raise ValueError("rank out of range")
-        if len(self.target_rates) != self.total_m:
-            raise ValueError("need one target rate per user")
-        if any(r <= 0 for r in self.target_rates):
-            raise ValueError("target rates must be positive")
-
-
 def achievable_rate(gamma_m: float, alloc: PowerAllocation, m: int) -> float:
     """Rate of rank m after SIC: log2(1 + g b_m / (g sum_{i>m} b_i + 1))."""
     return decode_rate(gamma_m, alloc, m, m)
@@ -98,6 +78,17 @@ def decode_rate(gamma_m: float, alloc: PowerAllocation, m: int, j: int) -> float
     return math.log2(1.0 + gamma_m * alloc.beta[j - 1] / (gamma_m * interf + 1.0))
 
 
+def _sic_margins(beta, rates, m: int):
+    """Yield (phi_j, beta_j - phi_j * sum_{i>j} beta_i) for ranks j = 1..m.
+
+    phi_j = 2^R_j - 1.  SIC decodes rank j only if its margin is positive,
+    i.e. (2^R_j - 1) sum_{i>j} beta_i < beta_j.
+    """
+    for j in range(m):
+        phi = 2.0 ** float(rates[j]) - 1.0
+        yield phi, beta[j] - phi * math.fsum(beta[j + 1:])
+
+
 def sic_thresholds(alloc: PowerAllocation, rates, m: int):
     """Per-rank SIC SNR thresholds and the binding threshold for rank m.
 
@@ -110,15 +101,12 @@ def sic_thresholds(alloc: PowerAllocation, rates, m: int):
     if len(rates) != alloc.m_users:
         raise ValueError("need one target rate per user")
     lbs = []
-    for j in range(1, m + 1):
-        phi = 2.0 ** float(rates[j - 1]) - 1.0
-        denom = alloc.beta[j - 1] - phi * alloc.interference(j)
+    for j, (phi, denom) in enumerate(_sic_margins(alloc.beta, rates, m), start=1):
         if denom <= 0.0:
             raise InfeasibleAllocationError(
                 j,
                 f"allocation infeasible at rank {j}: "
-                f"(2^R-1)*interference >= beta_{j} ({phi * alloc.interference(j):.6g} "
-                f">= {alloc.beta[j - 1]:.6g})",
+                f"beta_{j} - (2^R-1)*interference = {denom:.6g} <= 0",
             )
         lbs.append(phi / denom)
     if m == alloc.m_users:
@@ -141,16 +129,6 @@ def ordered_cdf(parent_cdf_value, m: int, total: int):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def outage_probability(q: OutageQuery, alloc: PowerAllocation) -> float:
-    """Outage of rank m: ordered CDF of the parent at the binding SIC threshold.
-
-    An infeasible allocation raises InfeasibleAllocationError.
-    """
-    _, gamma_mlb = sic_thresholds(alloc, q.target_rates, q.rank_m)
-    parent = float(q.parent_cdf(gamma_mlb))
-    return float(ordered_cdf(parent, q.rank_m, q.total_m))
-
-
 class OutageModel:
     """Per-rank outage evaluator over resolved links of one scenario.
 
@@ -168,6 +146,8 @@ class OutageModel:
         self.m_users = len(self.links)
         if len(self.rates) != self.m_users:
             raise ValueError("need one target rate per UAV")
+        if any(r <= 0 for r in self.rates):
+            raise ValueError("target rates must be positive")
         self._rank_links = {}
 
     def link(self, rank: int, n_elements: int) -> ch.Link:
@@ -178,13 +158,11 @@ class OutageModel:
         return self._rank_links[key]
 
     def outage(self, rank: int, alloc: PowerAllocation, n_elements: int) -> float:
-        query = OutageQuery(
-            rank_m=rank,
-            total_m=self.m_users,
-            parent_cdf=self.link(rank, n_elements).cdf,
-            target_rates=self.rates,
-        )
-        return outage_probability(query, alloc)
+        """Outage of the given rank: the ordered CDF of its link at the binding
+        SIC threshold.  An infeasible allocation raises InfeasibleAllocationError."""
+        _, gamma_mlb = sic_thresholds(alloc, self.rates, rank)
+        parent = float(self.link(rank, n_elements).cdf(gamma_mlb))
+        return float(ordered_cdf(parent, rank, self.m_users))
 
     def outages(self, alloc: PowerAllocation, n_per_rank):
         return [self.outage(m, alloc, int(n_per_rank[m - 1])) for m in range(1, self.m_users + 1)]

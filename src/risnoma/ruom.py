@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noma import OutageModel, PowerAllocation
+from .noma import OutageModel, PowerAllocation, _sic_margins
 
 __all__ = [
     "NoFeasibleAllocationError",
@@ -117,17 +117,6 @@ class RuomResult:
     iterations: int
 
 
-def _feasible(beta, rates) -> bool:
-    m_users = len(beta)
-    if abs(math.fsum(beta) - 1.0) > 1e-9 * m_users:
-        return False
-    for j in range(m_users):
-        phi = 2.0 ** float(rates[j]) - 1.0
-        if not phi * math.fsum(beta[j + 1:]) < beta[j]:
-            return False
-    return True
-
-
 def _axis_values(eps_sr: float, low: float, high: float):
     """Grid multiples of eps_sr inside [low, high], with 1.0 always a member."""
     lo_k = math.ceil(low / eps_sr - 1e-9)
@@ -161,13 +150,13 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
     found = {}
 
     def visit(candidate):
-        if not _feasible(candidate, rates):
+        if not all(margin > 0.0 for _, margin in _sic_margins(candidate, rates, m_users)):
             return
         try:
             alloc = PowerAllocation(candidate)
         except ValueError:
-            # feasible under (16b)-(16c) but violating the strict NOMA
-            # ordering (possible for target rates < 1); not a valid allocation
+            # SIC-feasible but off the sum constraint, or violating the strict
+            # NOMA ordering (possible for target rates < 1); not a valid allocation
             return
         found.setdefault(tuple(round(b, 12) for b in candidate), alloc)
 

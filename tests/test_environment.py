@@ -188,7 +188,6 @@ class TestSelectBestRis:
             tx_power_dbm=37.0,
             bandwidth_hz=40e6,
             noise_temp_k=290.0,
-            target_rates_bpc=(1.0,),
             cell_radius_m=2000.0,
             seed=0,
         )

@@ -60,7 +60,6 @@ class TestLoadConfig:
         assert cfg.scenario.bandwidth_hz == 40e6
         assert cfg.scenario.noise_temp_k == 290.0
         assert cfg.scenario.max_ris_elements == 1024
-        assert cfg.scenario.target_rate_bpc == 1.0
         assert cfg.environment.zeta == 20.0 and cfg.environment.v == 3e-4
         assert cfg.noma.beta == (0.9895, 0.0101, 0.0003)
 
@@ -74,6 +73,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(_write(tmp_path, "sweep:\n  varible: n_elements\n"))
         assert "varible" in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["scenario:\n  target_rate_bpc: 3.0\n",
+                                      "output:\n  formats: [csv]\n"],
+                             ids=["target_rate_bpc", "formats"])
+    def test_removed_keys_rejected(self, tmp_path, text):
+        # rates come from sweep.fixed_target_rate and every writer writes CSV
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(_write(tmp_path, text))
 
     def test_round_trip_idempotent(self, tmp_path):
         cfg = load_config(_write(tmp_path, FAST_YAML))
@@ -239,6 +246,28 @@ class TestCliErrors:
     def test_default_sweep_variable_mismatch(self, tmp_path, cmd):
         # the default sweep.variable is n_elements, which only sweep-links sweeps
         assert main([cmd, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("beta, rate, message", [
+        # at 1 bpc rank 1 needs beta_1 > beta_2 + beta_3
+        ("[0.2, 0.3, 0.5]", 1.0, "noma.beta breaks SIC at rank 1 for target rate 1 bpc"),
+        ("[0.5, 0.3, 0.2]", 1.0, "noma.beta breaks SIC at rank 1 for target rate 1 bpc"),
+        # decodable at 0.5 bpc, but not a NOMA order
+        ("[0.3, 0.35, 0.35]", 0.5, "strictly decreasing"),
+    ], ids=["increasing", "rank1_at_margin", "unordered_low_rate"])
+    def test_bad_beta(self, tmp_path, capsys, beta, rate, message):
+        text = FAST_YAML.replace("fixed_n_elements: 64",
+                                 f"fixed_n_elements: 64\n  fixed_target_rate: {rate}")
+        cfg = _write(tmp_path, text + f"noma:\n  beta: {beta}\n")
+        assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_sic_checked_at_each_swept_rate(self, tmp_path, capsys):
+        # (0.7, 0.2, 0.1) decodes at 1 bpc but not at 2 bpc, where 3 * 0.3 > 0.7
+        text = FAST_YAML.replace("variable: n_elements", "variable: target_rate")
+        text = text.replace("grid: [0, 4, 16, 64]", "grid: [1.0, 2.0]")
+        cfg = _write(tmp_path, text + "noma:\n  beta: [0.7, 0.2, 0.1]\n")
+        assert main(["sweep-rate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "rank 1 for target rate 2 bpc" in capsys.readouterr().err
 
     def test_sweep_links_variable_mismatch(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))

@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from risnoma.channels import NakagamiParams, direct_snr_cdf, resolve_links
+from risnoma.channels import LinkChannel, NakagamiParams, resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import (
     InfeasibleAllocationError,
     OutageModel,
-    OutageQuery,
     PowerAllocation,
     achievable_rate,
     decode_rate,
     ordered_cdf,
-    outage_probability,
     sic_thresholds,
 )
 
@@ -125,6 +123,25 @@ class TestSicThresholds:
                 continue
             count += 1
 
+    def test_thresholds_meet_the_target_rates(self):
+        # at gamma_j^lb the rank-m decoder reaches exactly rate R_j on rank j:
+        # the SIC rule and the rate definition mc_noma_outage tests against agree
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 40:
+            m_tot = int(rng.integers(2, 6))
+            raw = tuple(np.sort(rng.dirichlet(np.ones(m_tot)))[::-1])
+            rates = tuple(rng.uniform(0.1, 2.0, m_tot))
+            try:
+                alloc = PowerAllocation(raw)
+                lbs, _ = sic_thresholds(alloc, rates, m_tot)
+            except ValueError:  # unordered draw or SIC-infeasible at these rates
+                continue
+            for m in range(1, m_tot + 1):
+                for j, lb in enumerate(lbs[:m], start=1):
+                    assert decode_rate(lb, alloc, m, j) == pytest.approx(rates[j - 1], rel=1e-12)
+            checked += 1
+
 
 class TestOrderedCdf:
     def test_identity_m1(self):
@@ -181,37 +198,34 @@ class TestOrderedCdf:
         assert ordered_cdf(np.array([]), 2, 3).shape == (0,)
 
 
+def _direct_model(gamma_bar_d, m_users=1):
+    """OutageModel at 1 bpc over m_users identical Rayleigh direct links of mean
+    SNR gamma_bar_d."""
+    rayleigh = NakagamiParams(m=1.0, omega=1.0)
+    links = [
+        LinkChannel(uav=u, ris=0, direct_fading=rayleigh, hop_g2r=rayleigh, hop_r2a=rayleigh,
+                    amp_direct=1.0, amp_g2r=1.0, amp_r2a=1.0, gamma_bar_c=gamma_bar_d,
+                    max_ris_elements=64)
+        for u in range(m_users)
+    ]
+    return OutageModel(links, (1.0,) * m_users, link_type="direct")
+
+
 class TestOutageProbability:
     def test_rayleigh_single_user_oracle(self):
-        p = NakagamiParams(m=1.0, omega=1.0)
-        q = OutageQuery(
-            rank_m=1,
-            total_m=1,
-            parent_cdf=lambda g: direct_snr_cdf(p, 10.0, g),
-            target_rates=(1.0,),
-        )
+        model = _direct_model(10.0)
+        assert model.links[0].gamma_bar_d == 10.0
         expected = 1.0 - math.exp(-1.0 / 10.0)
-        assert outage_probability(q, PowerAllocation((1.0,))) == pytest.approx(
-            expected, rel=1e-10
-        )
+        assert model.outage(1, PowerAllocation((1.0,)), 0) == pytest.approx(expected, rel=1e-10)
         assert expected == pytest.approx(0.0952, abs=1e-4)
 
     def test_vanishes_at_huge_mean_snr(self):
-        p = NakagamiParams(m=1.0, omega=1.0)
-        q = OutageQuery(
-            rank_m=1,
-            total_m=1,
-            parent_cdf=lambda g: direct_snr_cdf(p, 1e12, g),
-            target_rates=(1.0,),
-        )
-        assert outage_probability(q, PowerAllocation((1.0,))) < 1e-10
+        assert _direct_model(1e12).outage(1, PowerAllocation((1.0,)), 0) < 1e-10
 
-    def test_lenient_mode(self):
-        q = OutageQuery(rank_m=1, total_m=3, parent_cdf=lambda g: 0.0,
-                        target_rates=(1.0, 1.0, 1.0))
-        bad = PowerAllocation((0.5, 0.3, 0.2))
+    def test_infeasible_allocation_raises(self):
+        model = _direct_model(10.0, m_users=3)
         with pytest.raises(InfeasibleAllocationError):
-            outage_probability(q, bad)
+            model.outage(1, PowerAllocation((0.5, 0.3, 0.2)), 0)
 
 
 class TestOutageModel:
@@ -253,6 +267,12 @@ class TestOutageModel:
             assert model_c.outage(rank, alloc, 0) == pytest.approx(
                 model_d.outage(rank, alloc, 0), rel=1e-9
             )
+
+    @pytest.mark.parametrize("rates", [(1.0, 0.0, 1.0), (1.0, -0.5, 1.0), (1.0, 1.0)])
+    def test_rejects_bad_rates_at_construction(self, rates):
+        links = self._model().links
+        with pytest.raises(ValueError):
+            OutageModel(links, rates, link_type="composite")
 
     def test_ris_requires_elements(self):
         model = self._model("ris")

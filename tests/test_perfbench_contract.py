@@ -1,0 +1,39 @@
+"""The benchmark under perfbench/ runs on the library's public API: every op
+kind of every workload must still run and pass its own output checks."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def wl():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+@pytest.mark.parametrize("workload", ["curves", "optimize", "mc-check"])
+def test_first_op_of_each_kind_passes_its_checks(wl, tmp_path, workload):
+    plan = wl.plan(workload, 1, wl.load_configs(workload))
+    firsts = {}
+    for op in plan:
+        firsts.setdefault(op.kind, op)
+    assert set(firsts) == set(wl.WORKLOADS[workload].kinds)
+    for op in firsts.values():
+        result = wl.run_op(op, tmp_path)
+        assert wl.failure(op, result) is None
+        assert wl.check(op, result) == []
+        wl.result_bytes(op, tmp_path)  # every declared result file was written
+
+
+def test_closed_ref_gap_sample(wl):
+    gap, compared, unconverged = wl.closed_ref_gap(wl.load_configs("curves")["sweep-links"])
+    assert (compared, unconverged) == (120, 0)
+    assert 0.0 <= gap < 1.0
