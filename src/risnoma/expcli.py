@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,6 +70,15 @@ class ConfigError(ValueError):
     """A configuration file failed schema validation."""
 
 
+def _is_finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_rate(key: str, rate):
+    if not (_is_finite_real(rate) and rate > 0):
+        raise ConfigError(f"{key}: target rate must be a finite number > 0 bpc, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class ChannelBlock:
     omega: float = 1.0
@@ -88,8 +98,12 @@ class NomaBlock:
     beta: tuple | str = (0.9895, 0.0101, 0.0003)
 
     def __post_init__(self):
-        if isinstance(self.beta, str) and self.beta != "optimize":
+        if self.beta == "optimize":
+            return
+        if not isinstance(self.beta, (tuple, list)):
             raise ConfigError("noma.beta must be a list of coefficients or 'optimize'")
+        if not all(_is_finite_real(b) for b in self.beta):
+            raise ConfigError(f"noma.beta entries must be finite numbers, got {list(self.beta)}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,10 @@ class SweepBlock:
             object.__setattr__(self, "grid", grid)
         if len(grid) == 0:
             raise ConfigError("sweep.grid must be nonempty")
+        _check_rate("sweep.fixed_target_rate", self.fixed_target_rate)
+        if self.variable == "target_rate":
+            for rate in grid:
+                _check_rate("sweep.grid", rate)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,9 @@ class OutageModel:
         if any(r <= 0 for r in self.rates):
             raise ValueError("target rates must be positive")
         self._rank_links = {}
+        # outage by (rank, n_elements, binding SIC threshold): beta enters the
+        # outage only through that threshold, so candidates share scores
+        self._scores = {}
 
     def link(self, rank: int, n_elements: int) -> ch.Link:
         """The link of the given rank (1-based) with n_elements RIS elements."""
@@ -161,8 +164,22 @@ class OutageModel:
         """Outage of the given rank: the ordered CDF of its link at the binding
         SIC threshold.  An infeasible allocation raises InfeasibleAllocationError."""
         _, gamma_mlb = sic_thresholds(alloc, self.rates, rank)
-        parent = float(self.link(rank, n_elements).cdf(gamma_mlb))
-        return float(ordered_cdf(parent, rank, self.m_users))
+        return self._score(rank, n_elements, gamma_mlb)
 
     def outages(self, alloc: PowerAllocation, n_per_rank):
-        return [self.outage(m, alloc, int(n_per_rank[m - 1])) for m in range(1, self.m_users + 1)]
+        """Outage of every rank, from one pass over the SIC thresholds."""
+        lbs, _ = sic_thresholds(alloc, self.rates, self.m_users)
+        last = self.m_users
+        return [
+            self._score(m, int(n_per_rank[m - 1]), lbs[-1] if m == last else max(lbs[:m]))
+            for m in range(1, last + 1)
+        ]
+
+    def _score(self, rank: int, n_elements: int, gamma_mlb: float) -> float:
+        """Ordered CDF of the rank's link at gamma_mlb, computed once per key."""
+        key = (rank, n_elements, gamma_mlb)
+        out = self._scores.get(key)
+        if out is None:
+            parent = float(self.link(rank, n_elements).cdf(gamma_mlb))
+            out = self._scores[key] = float(ordered_cdf(parent, rank, self.m_users))
+        return out

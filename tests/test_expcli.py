@@ -269,6 +269,28 @@ class TestCliErrors:
         assert main(["sweep-rate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "rank 1 for target rate 2 bpc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, edits, key", [
+        ("sweep-links", [("fixed_n_elements: 64", "fixed_n_elements: 64\n  fixed_target_rate: 0.0")],
+         "sweep.fixed_target_rate"),
+        ("sweep-links", [("fixed_n_elements: 64", "fixed_n_elements: 64\n  fixed_target_rate: .nan")],
+         "sweep.fixed_target_rate"),
+        ("sweep-rate", [("variable: n_elements", "variable: target_rate"),
+                        ("grid: [0, 4, 16, 64]", "grid: [1.0, 0.0]")], "sweep.grid"),
+    ], ids=["zero", "nan", "zero_in_rate_grid"])
+    def test_bad_target_rate(self, tmp_path, capsys, cmd, edits, key):
+        text = FAST_YAML
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = _write(tmp_path, text)
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["[a, 0.3, 0.2]", "[true, 0.3, 0.2]", "0.5"])
+    def test_non_numeric_beta(self, tmp_path, capsys, beta):
+        cfg = _write(tmp_path, FAST_YAML + f"noma:\n  beta: {beta}\n")
+        assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "noma.beta" in capsys.readouterr().err
+
     def test_sweep_links_variable_mismatch(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))
         assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG

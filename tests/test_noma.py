@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from risnoma.channels import LinkChannel, NakagamiParams, resolve_links
+from risnoma.channels import LINK_KINDS, LinkChannel, NakagamiParams, resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import (
     InfeasibleAllocationError,
@@ -278,3 +278,73 @@ class TestOutageModel:
         model = self._model("ris")
         with pytest.raises(ValueError):
             model.outage(1, PowerAllocation((0.7, 0.2, 0.1)), 0)
+
+
+def _feasible_allocations(rates, count, seed):
+    """Random strictly decreasing allocations that SIC decodes at `rates`."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        beta = tuple(sorted((float(b) for b in rng.dirichlet(np.ones(len(rates)))), reverse=True))
+        try:
+            alloc = PowerAllocation(beta)
+            sic_thresholds(alloc, rates, len(rates))
+        except ValueError:
+            continue
+        out.append(alloc)
+    return out
+
+
+class TestOutagesMemo:
+    """outages() scores every rank from one SIC pass and a per-model memo;
+    its floats are the ones per-rank outage() calls give."""
+
+    RATES = (0.5, 0.5, 0.5)
+
+    def _model(self, link_type):
+        scen = generate_scenario(ScenarioConfig(tx_power_dbm=25.0), 7)
+        links = resolve_links(EnvironmentParams(), scen, m_direct=1.0, m_hops=2.0)
+        return OutageModel(links, self.RATES, link_type=link_type)
+
+    @pytest.mark.parametrize("link_type", LINK_KINDS)
+    @pytest.mark.parametrize("n", [0, 1, 64])
+    def test_outages_equal_per_rank_outage(self, link_type, n):
+        for alloc in _feasible_allocations(self.RATES, 6, seed=n):
+            n_per_rank = (n, n, n)
+            if link_type == "ris" and n == 0:
+                # a RIS-only link has no path without elements
+                with pytest.raises(ValueError):
+                    self._model(link_type).outages(alloc, n_per_rank)
+                continue
+            single = [self._model(link_type).outage(m, alloc, n) for m in (1, 2, 3)]
+            together = self._model(link_type).outages(alloc, n_per_rank)
+            assert [x.hex() for x in together] == [x.hex() for x in single]
+
+    def test_mixed_element_counts(self):
+        model, fresh = self._model("composite"), self._model("composite")
+        for alloc in _feasible_allocations(self.RATES, 6, seed=3):
+            assert model.outages(alloc, (64, 1, 0)) == [
+                fresh.outage(1, alloc, 64), fresh.outage(2, alloc, 1), fresh.outage(3, alloc, 0)
+            ]
+
+    def test_warm_model_returns_fresh_floats(self):
+        allocs = _feasible_allocations(self.RATES, 20, seed=11)
+        warm = self._model("composite")
+        for alloc in allocs:
+            for n in (0, 1, 64):
+                warm.outages(alloc, (n, n, n))
+        for alloc in reversed(allocs):
+            for n in (64, 1, 0):
+                fresh = self._model("composite").outages(alloc, (n, n, n))
+                assert [x.hex() for x in warm.outages(alloc, (n, n, n))] == [x.hex() for x in fresh]
+
+    def test_infeasible_allocation_names_the_same_rank(self):
+        # at 2 bpc rank 1 decodes (0.8 > 3 * 0.2) but rank 2 does not (0.12 < 3 * 0.08)
+        model = OutageModel(self._model("direct").links, (2.0, 2.0, 2.0), link_type="direct")
+        alloc = PowerAllocation((0.8, 0.12, 0.08))
+        assert model.outage(1, alloc, 0) > 0.0
+        with pytest.raises(InfeasibleAllocationError) as single:
+            model.outage(3, alloc, 0)
+        with pytest.raises(InfeasibleAllocationError) as together:
+            model.outages(alloc, (0, 0, 0))
+        assert single.value.rank_j == together.value.rank_j == 2

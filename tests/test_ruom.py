@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from risnoma.channels import resolve_links
+from risnoma import expcli
+from risnoma.channels import Link, resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import OutageModel, PowerAllocation
 from risnoma.ruom import (
@@ -328,6 +330,23 @@ class TestRuom:
         assert res.assignment.total > 500
         assert max(stages) <= model.m_users * (math.ceil(math.log2(cap + 1)) + 1)
 
+    def test_each_distinct_outage_scored_once(self, monkeypatch):
+        # beta enters an outage only through the rank's binding SIC threshold,
+        # so one solve evaluates each (rank, N, threshold) once; the model holds
+        # one Link per (rank, N), so (link, gamma) names the key
+        model = _model(n_uavs=4, rates=0.5, seed=1)
+        calls = []
+        cdf = Link.cdf
+
+        def counted_cdf(self, gamma):
+            calls.append((id(self), gamma))
+            return cdf(self, gamma)
+
+        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        ruom(model, RuomParams())
+        assert calls
+        assert len(calls) == len(set(calls))
+
     def test_brute_force_minimax(self):
         # converged max-outage is no worse than the best coarse-grid vector
         model = _model(n_uavs=2, tx_power_dbm=24.0)
@@ -366,3 +385,58 @@ class TestRuomParams:
             RuomParams(eps_ac=0.5, eps_in=0.1)
         with pytest.raises(ValueError):
             RuomParams(delta=0.0)
+
+
+# Final (beta, N, outages) of run_ruom_report on the first three drops of two
+# benchmark configs, as float.hex; the optimizer must reproduce them bit for bit.
+GOLDEN_RUOM = {
+    ("ruom-m3-r1-p30", 0): (
+        ("0x1.6c16c1628b65bp-1", "0x1.82d82f009e8bbp-3", "0x1.999996ea67bd9p-4"),
+        (1, 0, 0),
+        ("0x1.6c6b1b1e0d3e5p-11", "0x1.2b2f27220921fp-32", "0x1.77a2a2aad0a7ap-139"),
+    ),
+    ("ruom-m3-r1-p30", 1): (
+        ("0x1.6c16c1628b65bp-1", "0x1.82d82da9059d8p-3", "0x1.999999999999dp-4"),
+        (288, 0, 0),
+        ("0x1.04ddbe82d74bep-10", "0x1.97119d8d67340p-21", "0x1.cebeaac69e8d6p-70"),
+    ),
+    ("ruom-m3-r1-p30", 2): (
+        ("0x1.6c16c1628b65bp-1", "0x1.82d82da9059d8p-3", "0x1.999999999999dp-4"),
+        (213, 0, 0),
+        ("0x1.038ed06ae5523p-10", "0x1.fb4a2e52d020bp-21", "0x1.7eef4bfedfe8ep-40"),
+    ),
+    ("ruom-m4-r05-p30", 0): (
+        ("0x1.a4fa4ee61720fp-2", "0x1.27d27d3ae9354p-2", "0x1.82d82f009e8bbp-3",
+         "0x1.c71c717ac1927p-4"),
+        (50, 0, 0, 0),
+        ("0x1.05909fed98f2dp-10", "0x1.9fbd6841d0db8p-42", "0x1.817378eff3c28p-169",
+         "0x1.e6838c8e38554p-237"),
+    ),
+    ("ruom-m4-r05-p30", 1): (
+        ("0x1.a4fa4ee61720fp-2", "0x1.27d27d3ae9354p-2", "0x1.82d82f009e8bbp-3",
+         "0x1.c71c717ac1927p-4"),
+        (651, 0, 0, 0),
+        ("0x1.03b28a6d0d14bp-10", "0x1.07664b50f90a3p-13", "0x1.16f04ca514aeep-35",
+         "0x1.eb74be168c4afp-113"),
+    ),
+    ("ruom-m4-r05-p30", 2): (
+        ("0x1.a4fa4ee61720fp-2", "0x1.27d27d3ae9354p-2", "0x1.82d82f009e8bbp-3",
+         "0x1.c71c717ac1927p-4"),
+        (1024, 0, 0, 0),
+        ("0x1.40c460299f536p-8", "0x1.ee669461f794fp-32", "0x1.5c0c22980ae62p-53",
+         "0x1.5ec786cb26c97p-108"),
+    ),
+}
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+@pytest.mark.parametrize("config, drop", sorted(GOLDEN_RUOM), ids=lambda v: str(v))
+def test_ruom_report_golden_floats(tmp_path, config, drop):
+    cfg = expcli.load_config(BENCH_CONFIGS / f"{config}.yaml")
+    (final,) = expcli.run_ruom_report(cfg, drop, tmp_path).values()
+    got = (
+        tuple(float(b).hex() for b in final["final_beta"]),
+        tuple(final["final_n"]),
+        tuple(float(o).hex() for o in final["final_outages"]),
+    )
+    assert got == GOLDEN_RUOM[config, drop]
