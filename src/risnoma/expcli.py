@@ -131,9 +131,15 @@ class SweepBlock:
         if len(grid) == 0:
             raise ConfigError("sweep.grid must be nonempty")
         _check_rate("sweep.fixed_target_rate", self.fixed_target_rate)
-        if self.variable == "target_rate":
-            for rate in grid:
-                _check_rate("sweep.grid", rate)
+        for value in grid:
+            if self.variable == "target_rate":
+                _check_rate("sweep.grid", value)
+            elif self.variable == "tx_power_dbm":
+                if not _is_finite_real(value):
+                    raise ConfigError(f"sweep.grid: transmit power must be a finite number "
+                                      f"of dBm, got {value!r}")
+            elif isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
+                raise ConfigError(f"sweep.grid: element count must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,8 @@ class RuomBlock:
     def __post_init__(self):
         if not self.lambdas:
             raise ConfigError("ruom.lambdas must be nonempty")
-        self.params(self.lambdas[0])  # delegate range checks
+        for lam in self.lambdas:
+            self.params(lam)  # delegate range checks
 
 
 @dataclass(frozen=True)
@@ -355,8 +362,9 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int, extra=None)
 
 def _mc_columns(model: OutageModel, alloc, n_elements: int, mc_cfg):
     """(MC outage, half-width) of every rank, all ranks at n_elements."""
-    links = [model.link(rank, n_elements) for rank in range(1, model.m_users + 1)]
-    return [(e.value, e.halfwidth) for e in mc_noma_outage(links, alloc, model.rates, mc_cfg)]
+    families = [[model.link(rank, n_elements)] for rank in range(1, model.m_users + 1)]
+    estimates = mc_noma_outage(families, alloc, model.rates, mc_cfg)
+    return [(ests[0].value, ests[0].halfwidth) for ests in estimates]
 
 
 def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
@@ -369,24 +377,41 @@ def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
 
 
 def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled: bool):
-    """Outage versus RIS element count for direct, RIS-only and composite links."""
+    """Outage versus RIS element count for direct, RIS-only and composite links.
+
+    With MC on, one run covers the sweep: each rank draws one family, every
+    distinct link of its UAV over the grid and the link kinds, so all cells
+    share common random numbers.
+    """
     _require_sweep_variable(cfg, "n_elements")
     links = _resolved_links(cfg, seed)
     rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
     models = {lt: OutageModel(links, rates, link_type=lt) for lt in LINK_KINDS}
     alloc = _allocation(cfg, models["composite"])
+    ranks = range(1, len(links) + 1)
+    mc = {}
+    if mc_enabled:
+        # every distinct link of the rank's UAV: composite at N = 0 is the
+        # direct link, and RIS-only at N = 0 has no path
+        families = [
+            list(dict.fromkeys(models[lt].link(rank, n) for n in cfg.sweep.grid
+                               for lt in LINK_KINDS if lt != "ris" or n > 0))
+            for rank in ranks
+        ]
+        estimates = mc_noma_outage(families, alloc, rates, cfg.mc.config(0))
+        for rank, family, ests in zip(ranks, families, estimates):
+            mc.update(((rank, link), (e.value, e.halfwidth)) for link, e in zip(family, ests))
     rows = []
-    for sweep_idx, n_val in enumerate(cfg.sweep.grid):
-        n_val = int(n_val)
+    for n_val in cfg.sweep.grid:
         for link_type in LINK_KINDS:
             model = models[link_type]
-            no_path = link_type == "ris" and n_val == 0  # certain outage
-            mc = [(None, None)] * model.m_users
-            if mc_enabled and not no_path:
-                mc = _mc_columns(model, alloc, n_val, cfg.mc.config(seed_offset=1000 * sweep_idx))
-            for rank in range(1, model.m_users + 1):
-                analytic = 1.0 if no_path else model.outage(rank, alloc, n_val)
-                rows.append(("n_elements", n_val, rank, link_type, analytic, *mc[rank - 1]))
+            for rank in ranks:
+                if link_type == "ris" and n_val == 0:  # certain outage
+                    rows.append(("n_elements", n_val, rank, link_type, 1.0, None, None))
+                    continue
+                analytic = model.outage(rank, alloc, n_val)
+                cell = mc.get((rank, model.link(rank, n_val)), (None, None))
+                rows.append(("n_elements", n_val, rank, link_type, analytic, *cell))
     _write_csv(out_dir / "sweep_links.csv", SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
     return rows
@@ -489,32 +514,32 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     # direct-link CDF
     direct = link.link("direct", 0)
     grid = np.geomspace(link.gamma_bar_d * 1e-3, link.gamma_bar_d * 10.0, 60)
-    mc = mc_snr_cdf(direct, grid, cfg.mc.config(0))
+    [mc] = mc_snr_cdf([direct], [grid], cfg.mc.config(0))
     _check(report, "direct_cdf_vs_mc", float(np.max(np.abs(direct.cdf(grid) - mc.values))),
            tols.direct_cdf_abs_tol + mc.halfwidth)
 
-    # RIS-only CDF (element count from the sweep block, at least 16)
+    # RIS-only and composite CDFs (element count from the sweep block, at
+    # least 16), drawn from one family: same RIS, same N, one seed; the
+    # composite is checked at the snapped m3 against closed form,
+    # quadrature and MC
     n_val = max(int(cfg.sweep.fixed_n_elements), 16)
     ris = link.link("ris", n_val)
     peak = link.gamma_bar_r * ris.fit.mean_sum**2
-    grid = np.linspace(peak * 1e-3, peak * 4.0, 100)
-    mc = mc_snr_cdf(ris, grid, cfg.mc.config(1))
-    _check(report, "ris_cdf_vs_mc", float(np.max(np.abs(ris.cdf(grid) - mc.values))),
-           tols.ris_cdf_abs_tol + mc.halfwidth)
-
-    # composite closed form vs quadrature vs MC, all at the snapped m3
+    ris_grid = np.linspace(peak * 1e-3, peak * 4.0, 100)
     comp = Link(link.rounded_direct(), ris.ris, link.budget())
     budget = comp.budget
     amp_mean = budget.amp_ris * comp.fit.mean_sum + budget.amp_direct
-    grid = np.linspace(1e-3, 4.0, 60) * budget.gamma_bar_c * amp_mean**2
-    quad_vals = composite_snr_cdf_quadrature(comp.fit, comp.direct, budget, grid)
-    closed_vals = np.array([comp.cdf(g) for g in grid])
+    comp_grid = np.linspace(1e-3, 4.0, 60) * budget.gamma_bar_c * amp_mean**2
+    ris_mc, comp_mc = mc_snr_cdf([ris, comp], [ris_grid, comp_grid], cfg.mc.config(1))
+    _check(report, "ris_cdf_vs_mc", float(np.max(np.abs(ris.cdf(ris_grid) - ris_mc.values))),
+           tols.ris_cdf_abs_tol + ris_mc.halfwidth)
+    quad_vals = composite_snr_cdf_quadrature(comp.fit, comp.direct, budget, comp_grid)
+    closed_vals = np.array([comp.cdf(g) for g in comp_grid])
     _check(report, "composite_closed_vs_quadrature",
            float(np.max(np.abs(closed_vals - quad_vals))), tols.closed_vs_quadrature_tol)
-    mc = mc_snr_cdf(comp, grid, cfg.mc.config(2))
     _check(report, "composite_quadrature_vs_mc",
-           float(np.max(np.abs(quad_vals - mc.values))),
-           tols.quadrature_vs_mc_tol + mc.halfwidth)
+           float(np.max(np.abs(quad_vals - comp_mc.values))),
+           tols.quadrature_vs_mc_tol + comp_mc.halfwidth)
 
     # ordered-statistics identity: mean of ordered CDFs equals the parent
     for f_parent in (0.15, 0.5, 0.85):

@@ -1,5 +1,13 @@
 """Monte Carlo ground-truth engine for every closed-form distribution.
 
+Both estimators take a *family* of Links of one UAV: links that share the
+direct fading, the RIS hops and the budget and differ only in kind and
+element count N.  Per batch a family draws its direct amplitude once and its
+element sums once, as one running sum over the elements read off at every N
+the family asks for, so its links see common random numbers: draws never
+fall as N grows and a composite draw is never below its direct or RIS-only
+draw.  Single-link callers pass a family of one.
+
 All estimators draw in fixed-size batches whose generators are derived from
 (seed, batch index), and reduce with order-insensitive integer counts, so
 serial and parallel schedules produce bit-identical results.
@@ -8,11 +16,11 @@ serial and parallel schedules produce bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import Link, NakagamiParams, RisLinkParams
+from .channels import NakagamiParams, RisLinkParams
 from .noma import PowerAllocation
 
 __all__ = [
@@ -25,6 +33,8 @@ __all__ = [
     "mc_snr_cdf",
     "mc_noma_outage",
 ]
+
+ELEMENT_CHUNK = 8  # RIS elements drawn per gamma call
 
 
 @dataclass(frozen=True)
@@ -76,69 +86,135 @@ def sample_nakagami(p: NakagamiParams, rng: np.random.Generator, size=None):
 
 def sample_ris_sum(ris: RisLinkParams, rng: np.random.Generator, size=None):
     """Coherent post-alignment element sum: sum_i g_i^g * g_i^a over N elements."""
-    shape = (ris.n_elements,) if size is None else (ris.n_elements,) + tuple(np.atleast_1d(size))
-    prod = sample_nakagami(ris.hop_g2r, rng, shape) * sample_nakagami(ris.hop_r2a, rng, shape)
-    out = prod.sum(axis=0)
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    out = _element_sums(ris, (ris.n_elements,), rng, shape)[ris.n_elements]
     return float(out) if size is None else out
 
 
-def _sample_snr(link: Link, rng, size):
-    """SNR draws of one link; a composite link draws its RIS sum first."""
-    budget = link.budget
-    if link.ris is None:
-        w = sample_nakagami(link.direct, rng, size)
-        return budget.gamma_bar_d * w * w
-    s = sample_ris_sum(link.ris, rng, size)
-    if link.direct is None:
-        return budget.gamma_bar_r * s * s
-    w = sample_nakagami(link.direct, rng, size)
-    amp = budget.amp_ris * s + budget.amp_direct * w
-    return budget.gamma_bar_c * amp * amp
+def _element_sums(ris: RisLinkParams, counts, rng, shape) -> dict:
+    """Element sums S_N = sum_{i <= N} g_i^g * g_i^a at every N in counts.
+
+    One running sum over the elements records S at each N, so S_N never
+    falls as N grows.  Element power products G1*G2 are drawn ELEMENT_CHUNK
+    elements at a time into two fixed buffers and take one sqrt each, so
+    memory does not grow with N.
+    """
+    g2r, r2a = ris.hop_g2r, ris.hop_r2a
+    scale = math.sqrt(g2r.omega / g2r.m * r2a.omega / r2a.m)
+    wanted = sorted(set(counts))
+    n_max = wanted[-1]
+    rows = min(ELEMENT_CHUNK, n_max)
+    buf_g2r, buf_r2a = np.empty((rows,) + shape), np.empty((rows,) + shape)
+    running = np.zeros(shape)
+    sums = {}
+    for lo in range(0, n_max, ELEMENT_CHUNK):
+        k = min(ELEMENT_CHUNK, n_max - lo)
+        prod, other = buf_g2r[:k], buf_r2a[:k]
+        rng.standard_gamma(g2r.m, out=prod)
+        rng.standard_gamma(r2a.m, out=other)
+        np.multiply(prod, other, out=prod)
+        np.sqrt(prod, out=prod)
+        np.cumsum(prod, axis=0, out=prod)  # row i: elements lo+1 .. lo+i+1
+        for n in wanted:
+            if lo < n <= lo + k:
+                sums[n] = scale * (running + prod[n - lo - 1])
+        running += prod[k - 1]
+    return sums
 
 
-def mc_snr_cdf(link: Link, gamma_grid, cfg: McConfig) -> McCdf:
-    """Empirical SNR CDF of one link over a sorted gamma grid."""
-    grid = np.asarray(gamma_grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
+def _shared_fading(family):
+    """(direct fading, RIS hops, budget) that every link of a family shares;
+    the RIS hops come back as RisLinkParams of one element."""
+    if not family:
+        raise ValueError("a link family needs at least one link")
+    budget = family[0].budget
+    directs = {link.direct for link in family if link.direct is not None}
+    hops = {replace(link.ris, n_elements=1) for link in family if link.ris is not None}
+    if len(directs) > 1 or len(hops) > 1 or any(link.budget != budget for link in family):
+        raise ValueError("links of a family must share direct fading, RIS hops and budget")
+    return next(iter(directs), None), next(iter(hops), None), budget
+
+
+def _family_snrs(family, rng, size):
+    """SNR draws of every link of a family, one array per link in order.
+
+    The direct amplitude is drawn once (first, so a direct link alone draws
+    what it always drew) and the element sums once, at every N the family
+    asks for.  Every SNR is gamma_bar_c * amp^2 with amp the sum of the
+    amplitudes present, so a composite draw is never below its direct or
+    RIS-only draw, and draws never fall as N grows.
+    """
+    direct, hops, budget = _shared_fading(family)
+    shape = tuple(np.atleast_1d(size))
+    w = None if direct is None else budget.amp_direct * sample_nakagami(direct, rng, shape)
+    ris_amp = {}
+    if hops is not None:
+        counts = [link.ris.n_elements for link in family if link.ris is not None]
+        ris_amp = {n: budget.amp_ris * s for n, s in _element_sums(hops, counts, rng, shape).items()}
+    for link in family:
+        if link.ris is None:
+            amp = w
+        elif link.direct is None:
+            amp = ris_amp[link.ris.n_elements]
+        else:
+            amp = w + ris_amp[link.ris.n_elements]
+        yield budget.gamma_bar_c * amp * amp
+
+
+def mc_snr_cdf(family, gamma_grids, cfg: McConfig) -> list:
+    """Empirical SNR CDF of each link of one family, link i over gamma_grids[i].
+
+    Single-link callers pass a family of one: mc_snr_cdf([link], [grid], cfg)[0].
+    """
+    grids = [np.asarray(grid, dtype=float) for grid in gamma_grids]
+    if len(grids) != len(family):
+        raise ValueError("need one gamma grid per link")
+    if any(grid.ndim != 1 or np.any(np.diff(grid) < 0) for grid in grids):
         raise ValueError("gamma grid must be a sorted 1-D array")
-    counts = np.zeros(grid.size, dtype=np.int64)
+    counts = [np.zeros(grid.size, dtype=np.int64) for grid in grids]
     for idx, size in enumerate(cfg.batch_sizes()):
         rng = batch_rng(cfg.seed, idx)
-        snr = np.sort(_sample_snr(link, rng, size))
-        counts += np.searchsorted(snr, grid, side="right")
+        for count, grid, snr in zip(counts, grids, _family_snrs(family, rng, size)):
+            count += np.searchsorted(np.sort(snr), grid, side="right")
     halfwidth = math.sqrt(math.log(2.0 / 0.05) / (2.0 * cfg.trials))
-    return McCdf(grid=grid, values=counts / cfg.trials, halfwidth=halfwidth, trials=cfg.trials)
+    return [McCdf(grid=grid, values=count / cfg.trials, halfwidth=halfwidth, trials=cfg.trials)
+            for grid, count in zip(grids, counts)]
 
 
-def mc_noma_outage(links, alloc: PowerAllocation, rates, cfg: McConfig):
-    """Event-level NOMA outage per ranked UAV.
+def mc_noma_outage(families, alloc: PowerAllocation, rates, cfg: McConfig) -> list:
+    """Event-level NOMA outage of every link of one family per ranked UAV.
 
-    links holds one Link per rank, weakest first.  For rank m, M i.i.d.
-    SNRs are drawn from that UAV's own parent link, the
-    m-th smallest is kept, and the outage event is the failure of any decode
+    families holds one link family per rank, weakest first; the result holds
+    one list per rank with one McEstimate per link of its family.  For rank
+    m, M i.i.d. SNRs per link are drawn from that UAV's family, the m-th
+    smallest is kept, and the outage event is the failure of any decode
     rate R_{m,j} (j <= m) to exceed its target -- the rate conditions
     themselves, not the simplified threshold, so this run is an independent
     check of the closed-form pipeline.
     """
     m_users = alloc.m_users
-    if len(links) != m_users or len(rates) != m_users:
-        raise ValueError("need one link and target rate per user")
+    if len(families) != m_users or len(rates) != m_users:
+        raise ValueError("need one link family and target rate per user")
     rates = [float(r) for r in rates]
     results = []
-    for rank in range(1, m_users + 1):
-        failures = 0
+    for rank, family in enumerate(families, start=1):
+        failures = [0] * len(family)
         for idx, size in enumerate(cfg.batch_sizes()):
             rng = batch_rng(cfg.seed + 7919 * rank, idx)
-            draws = _sample_snr(links[rank - 1], rng, (m_users, size))
-            gamma_m = np.partition(draws, rank - 1, axis=0)[rank - 1]
-            ok = np.ones(size, dtype=bool)
-            for j in range(1, rank + 1):
-                beta_j = alloc.beta[j - 1]
-                interf = alloc.interference(j)
-                rate = np.log2(1.0 + gamma_m * beta_j / (gamma_m * interf + 1.0))
-                ok &= rate > rates[j - 1]
-            failures += int(size - np.count_nonzero(ok))
-        p = failures / cfg.trials
-        halfwidth = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-300) / cfg.trials)
-        results.append(McEstimate(value=p, halfwidth=halfwidth, trials=cfg.trials))
+            for i, draws in enumerate(_family_snrs(family, rng, (m_users, size))):
+                gamma_m = np.partition(draws, rank - 1, axis=0)[rank - 1]
+                ok = np.ones(size, dtype=bool)
+                for j in range(1, rank + 1):
+                    beta_j = alloc.beta[j - 1]
+                    interf = alloc.interference(j)
+                    rate = np.log2(1.0 + gamma_m * beta_j / (gamma_m * interf + 1.0))
+                    ok &= rate > rates[j - 1]
+                failures[i] += int(size - np.count_nonzero(ok))
+        results.append([_estimate(f, cfg.trials) for f in failures])
     return results
+
+
+def _estimate(failures: int, trials: int) -> McEstimate:
+    p = failures / trials
+    halfwidth = 1.96 * math.sqrt(max(p * (1.0 - p), 1e-300) / trials)
+    return McEstimate(value=p, halfwidth=halfwidth, trials=trials)

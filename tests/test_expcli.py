@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from risnoma import expcli
+from risnoma import expcli, sim_oracle
 from risnoma.expcli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -291,13 +292,31 @@ class TestCliErrors:
         assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "noma.beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, variable, grid", [
+        ("sweep-links", "n_elements", "[0, 2.5]"),
+        ("sweep-links", "n_elements", "[0, -4]"),
+        ("sweep-links", "n_elements", "[0, true]"),
+        ("sweep-power", "tx_power_dbm", "[30, abc]"),
+        ("sweep-power", "tx_power_dbm", "[30, .inf]"),
+    ], ids=["fractional_n", "negative_n", "bool_n", "text_power", "infinite_power"])
+    def test_bad_sweep_grid(self, tmp_path, capsys, cmd, variable, grid):
+        text = FAST_YAML.replace("variable: n_elements", f"variable: {variable}")
+        cfg = _write(tmp_path, text.replace("grid: [0, 4, 16, 64]", f"grid: {grid}"))
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "sweep.grid" in capsys.readouterr().err
+
+    def test_every_lambda_checked(self, tmp_path):
+        cfg = _write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, abc]\n")
+        assert main(["ruom", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
     def test_sweep_links_variable_mismatch(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))
         assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 class TestMcCalls:
-    """One Monte Carlo run per grid point and link type covers every rank."""
+    """One Monte Carlo run covers every rank: a whole sweep-links grid, or one
+    point of a scalar sweep."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -315,8 +334,11 @@ class TestMcCalls:
         text = FAST_YAML.replace("grid: [0, 4, 16, 64]", "grid: [0, 4]")
         cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
         assert main(["sweep-links", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
+        # each rank's family: direct (= composite at N=0), RIS-only and composite at N=4
+        families = calls[0][0]
+        assert [len(family) for family in families] == [3, 3, 3]
         # N=0: direct and composite (RIS-only has no path); N=4: all three
-        assert len(calls) == 5
         rows = _read_rows(tmp_path / "sweep_links.csv")
         assert sum(r["outage_mc"] != "" for r in rows) == 5 * 3
 
@@ -326,6 +348,58 @@ class TestMcCalls:
         cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
         assert main(["sweep-rate", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 2
+
+
+class _CountingRng:
+    """A Generator stand-in that counts the gamma variates drawn through it."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def gamma(self, shape, scale=1.0, size=None):
+        self._counts.append(int(np.prod(size)))
+        return self._rng.gamma(shape, scale, size)
+
+    def standard_gamma(self, shape, size=None, out=None):
+        self._counts.append(int(np.prod(size)) if out is None else out.size)
+        return self._rng.standard_gamma(shape, size, out=out)
+
+
+class TestSweepLinksSharedDraws:
+    """sweep-links draws each UAV's fading once per batch for the whole grid."""
+
+    @pytest.mark.parametrize("tx_power", [30.0, 50.0])
+    def test_mc_columns_ordered(self, tmp_path, tx_power):
+        # S_N grows with N and the rate event is monotone in the SNR, so the
+        # shared draws order the MC columns exactly, rank by rank; at 30 dBm
+        # direct and composite outages are visible, at 50 dBm RIS-only ones
+        text = FAST_YAML.replace("grid: [0, 4, 16, 64]", "grid: [0, 16, 17, 64]")
+        text = text.replace("tx_power_dbm: 30.0", f"tx_power_dbm: {tx_power}")
+        cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 2000"))
+        assert main(["sweep-links", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
+        mc = {(int(r["sweep_value"]), r["uav"], r["link_type"]): float(r["outage_mc"])
+              for r in _read_rows(tmp_path / "sweep_links.csv") if r["outage_mc"]}
+        for rank in ("1", "2", "3"):
+            for kind, grid in (("ris", (16, 17, 64)), ("composite", (0, 16, 17, 64))):
+                column = [mc[(n, rank, kind)] for n in grid]
+                assert column == sorted(column, reverse=True), (rank, kind, column)
+            for n in (0, 16, 17, 64):
+                assert mc[(n, rank, "composite")] <= mc[(n, rank, "direct")]
+                if n:
+                    assert mc[(n, rank, "composite")] <= mc[(n, rank, "ris")]
+
+    def test_gamma_draws(self, tmp_path, monkeypatch):
+        # M ranks x M rows x T trials x (2 max(grid) + 1): two gamma
+        # variates per element up to the largest N and one direct amplitude
+        counts = []
+        batch_rng = sim_oracle.batch_rng
+        monkeypatch.setattr(sim_oracle, "batch_rng",
+                            lambda seed, idx: _CountingRng(batch_rng(seed, idx), counts))
+        text = FAST_YAML.replace("grid: [0, 4, 16, 64]", "grid: [0, 16, 64]")
+        cfg = load_config(_write(tmp_path, text.replace("trials: 20000", "trials: 300")))
+        cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, batch=128))
+        expcli.run_sweep_links(cfg, 7, tmp_path, True)
+        assert sum(counts) == 3 * 3 * 300 * (2 * 64 + 1)
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: sampler moments, determinism, reduction order."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from risnoma.channels import (
 )
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import OutageModel, PowerAllocation
+from risnoma import sim_oracle
 from risnoma.sim_oracle import (
     McConfig,
     batch_rng,
@@ -93,7 +95,7 @@ class TestMcSnrCdf:
     def test_direct_vs_closed_form(self):
         p = NakagamiParams(m=2.0, omega=1.0)
         grid = np.linspace(0.5, 60.0, 80)
-        cdf = mc_snr_cdf(self._direct(p), grid, McConfig(trials=1_000_000, seed=11))
+        [cdf] = mc_snr_cdf([self._direct(p)], [grid], McConfig(trials=1_000_000, seed=11))
         gap = np.abs(cdf.values - direct_snr_cdf(p, 10.0, grid))
         assert float(np.max(gap)) <= 0.005
 
@@ -101,8 +103,8 @@ class TestMcSnrCdf:
         p = NakagamiParams(m=1.5, omega=1.0)
         grid = np.linspace(0.1, 30.0, 20)
         cfg = McConfig(trials=100_000, seed=21)
-        a = mc_snr_cdf(self._direct(p), grid, cfg)
-        b = mc_snr_cdf(self._direct(p), grid, cfg)
+        [a] = mc_snr_cdf([self._direct(p)], [grid], cfg)
+        [b] = mc_snr_cdf([self._direct(p)], [grid], cfg)
         assert np.array_equal(a.values, b.values)
 
     def test_batch_split_invariance(self):
@@ -112,8 +114,10 @@ class TestMcSnrCdf:
         # statistical tolerance and the reduction is order-insensitive by type
         p = NakagamiParams(m=1.5, omega=1.0)
         grid = np.linspace(0.1, 30.0, 20)
-        a = mc_snr_cdf(self._direct(p), grid, McConfig(trials=200_000, seed=22, batch=50_000))
-        b = mc_snr_cdf(self._direct(p), grid, McConfig(trials=200_000, seed=22, batch=200_000))
+        [a] = mc_snr_cdf([self._direct(p)], [grid],
+                         McConfig(trials=200_000, seed=22, batch=50_000))
+        [b] = mc_snr_cdf([self._direct(p)], [grid],
+                         McConfig(trials=200_000, seed=22, batch=200_000))
         assert float(np.max(np.abs(a.values - b.values))) <= 2 * a.halfwidth
 
     def test_composite_n0_degenerates_to_direct(self):
@@ -122,8 +126,8 @@ class TestMcSnrCdf:
         assert composite == direct
         grid = np.linspace(0.01, 10.0, 20) * link.gamma_bar_d
         cfg = McConfig(trials=100_000, seed=23)
-        a = mc_snr_cdf(composite, grid, cfg)
-        b = mc_snr_cdf(direct, grid, cfg)
+        [a] = mc_snr_cdf([composite], [grid], cfg)
+        [b] = mc_snr_cdf([direct], [grid], cfg)
         assert np.array_equal(a.values, b.values)
 
     def test_ris_link_needs_elements(self):
@@ -142,59 +146,59 @@ class TestMcSnrCdf:
         for g in grid:
             assert composite.cdf(g) == composite_snr_cdf_closed(composite.fit, snapped, budget, g)
         cfg = McConfig(trials=20_000, seed=25)
-        drawn = mc_snr_cdf(composite, grid, cfg).values
+        drawn = mc_snr_cdf([composite], [grid], cfg)[0].values
         exact = Link(link.direct_fading, link.ris_params(16), budget)
-        assert np.array_equal(drawn, mc_snr_cdf(exact, grid, cfg).values)
+        assert np.array_equal(drawn, mc_snr_cdf([exact], [grid], cfg)[0].values)
         rounded = Link(snapped, link.ris_params(16), budget)
-        assert not np.array_equal(drawn, mc_snr_cdf(rounded, grid, cfg).values)
+        assert not np.array_equal(drawn, mc_snr_cdf([rounded], [grid], cfg)[0].values)
 
     def test_monotone_in_01(self):
         p = NakagamiParams(m=2.0, omega=1.0)
         grid = np.linspace(0.0, 80.0, 50)
-        cdf = mc_snr_cdf(Link(None, _ris(16), self._budget()), grid,
-                         McConfig(trials=50_000, seed=24))
+        [cdf] = mc_snr_cdf([Link(None, _ris(16), self._budget())], [grid],
+                           McConfig(trials=50_000, seed=24))
         assert np.all(np.diff(cdf.values) >= 0)
         assert np.all((cdf.values >= 0) & (cdf.values <= 1))
 
     def test_dkw_halfwidth(self):
         cfg = McConfig(trials=1_000_000, seed=1)
-        cdf = mc_snr_cdf(self._direct(NakagamiParams(m=1.0)), np.array([1.0]), cfg)
+        [cdf] = mc_snr_cdf([self._direct(NakagamiParams(m=1.0))], [np.array([1.0])], cfg)
         assert cdf.halfwidth == pytest.approx(
             math.sqrt(math.log(2 / 0.05) / (2 * 1e6)), rel=1e-12
         )
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
-            mc_snr_cdf(self._direct(NakagamiParams(m=1.0)), np.array([2.0, 1.0]),
+            mc_snr_cdf([self._direct(NakagamiParams(m=1.0))], [np.array([2.0, 1.0])],
                        McConfig(trials=10, seed=0))
 
 
 class TestMcNomaOutage:
     def _model(self):
         model = OutageModel(_links(), (1.0, 1.0, 1.0), link_type="direct")
-        return model, [model.link(rank, 0) for rank in (1, 2, 3)]
+        return model, [[model.link(rank, 0)] for rank in (1, 2, 3)]
 
     def test_single_user_rayleigh_oracle(self):
         p = NakagamiParams(m=1.0, omega=1.0)
         budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=10.0, gamma_bar_c=20.0,
                             amp_direct=math.sqrt(0.5))
-        est = mc_noma_outage([Link(p, None, budget)], PowerAllocation((1.0,)),
-                             (1.0,), McConfig(trials=400_000, seed=31))[0]
+        [[est]] = mc_noma_outage([[Link(p, None, budget)]], PowerAllocation((1.0,)),
+                                 (1.0,), McConfig(trials=400_000, seed=31))
         assert est.value == pytest.approx(1 - math.exp(-0.1), abs=0.005)
 
     def test_high_power_outage_vanishes(self):
         p = NakagamiParams(m=1.0, omega=1.0)
         budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=1e9, gamma_bar_c=2e9,
                             amp_direct=math.sqrt(0.5))
-        est = mc_noma_outage([Link(p, None, budget)], PowerAllocation((1.0,)),
-                             (1.0,), McConfig(trials=100_000, seed=32))[0]
+        [[est]] = mc_noma_outage([[Link(p, None, budget)]], PowerAllocation((1.0,)),
+                                 (1.0,), McConfig(trials=100_000, seed=32))
         assert est.value == 0.0
 
     def test_cross_validates_analytic_direct(self):
         model, links = self._model()
         alloc = PowerAllocation((0.7, 0.2, 0.1))
         ests = mc_noma_outage(links, alloc, model.rates, McConfig(trials=400_000, seed=33))
-        for rank, est in enumerate(ests, start=1):
+        for rank, [est] in enumerate(ests, start=1):
             analytic = model.outage(rank, alloc, 0)
             if analytic >= 1e-2 or est.value >= 1e-2:
                 assert abs(analytic - est.value) <= 0.01 + est.halfwidth
@@ -205,4 +209,90 @@ class TestMcNomaOutage:
         cfg = McConfig(trials=50_000, seed=34)
         a = mc_noma_outage(links, alloc, model.rates, cfg)
         b = mc_noma_outage(links, alloc, model.rates, cfg)
-        assert [e.value for e in a] == [e.value for e in b]
+        assert [e.value for [e] in a] == [e.value for [e] in b]
+
+
+class TestFamilies:
+    """One draw of a UAV's fading serves every link of its family."""
+
+    def _channel(self):
+        return _links(m_direct=1.0)[0]
+
+    def _grid(self, link):
+        budget = link.budget
+        amp = budget.amp_direct + (0.0 if link.ris is None else budget.amp_ris * link.fit.mean_sum)
+        return np.linspace(0.05, 4.0, 40) * budget.gamma_bar_c * amp**2
+
+    def test_direct_member_draws_what_it_draws_alone(self):
+        channel = self._channel()
+        direct = channel.link("direct", 0)
+        family = [channel.link(kind, n) for kind in ("ris", "composite") for n in (16, 64)]
+        grids = [self._grid(link) for link in [direct] + family]
+        cfg = McConfig(trials=20_000, seed=40, batch=7_000)
+        shared = mc_snr_cdf([direct] + family, grids, cfg)
+        assert np.array_equal(shared[0].values, mc_snr_cdf([direct], grids[:1], cfg)[0].values)
+
+    @pytest.mark.parametrize("batch", [30_000, 7_000])
+    def test_family_of_one_repeats(self, batch):
+        channel = self._channel()
+        link = channel.link("composite", 16)
+        cfg = McConfig(trials=30_000, seed=41, batch=batch)
+        grid = self._grid(link)
+        assert np.array_equal(mc_snr_cdf([link], [grid], cfg)[0].values,
+                              mc_snr_cdf([link], [grid], cfg)[0].values)
+        families = [[channel.link("composite", 16)]] * 3
+        alloc = PowerAllocation((0.7, 0.2, 0.1))
+        a = mc_noma_outage(families, alloc, (1.0, 1.0, 1.0), cfg)
+        b = mc_noma_outage(families, alloc, (1.0, 1.0, 1.0), cfg)
+        assert a == b
+
+    def test_batches_reduce_in_any_order(self):
+        # serial == batch-split: the counts of each (seed, batch index)
+        # generator, summed last batch first, give the estimate bit for bit
+        link = self._channel().link("composite", 16)
+        grid = self._grid(link)
+        cfg = McConfig(trials=10_000, seed=42, batch=3_000)
+        [cdf] = mc_snr_cdf([link], [grid], cfg)
+        counts = np.zeros(grid.size, dtype=np.int64)
+        for idx, size in reversed(list(enumerate(cfg.batch_sizes()))):
+            [snr] = sim_oracle._family_snrs([link], batch_rng(cfg.seed, idx), size)
+            counts += np.searchsorted(np.sort(snr), grid, side="right")
+        assert np.array_equal(counts / cfg.trials, cdf.values)
+
+    def test_shared_draws_order_the_members(self):
+        # S_N grows with N and a composite amplitude adds both paths, so
+        # every composite draw is at least its direct and RIS-only draws
+        channel = self._channel()
+        family = [channel.link("direct", 0)] + [
+            channel.link(kind, n) for n in (16, 17, 64) for kind in ("ris", "composite")]
+        direct, *rest = sim_oracle._family_snrs(family, batch_rng(44, 0), (3, 2_000))
+        ris, comp = rest[0::2], rest[1::2]
+        for draws in (ris, comp):
+            for smaller, larger in zip(draws, draws[1:]):
+                assert np.all(larger >= smaller)
+        for r, c in zip(ris, comp):
+            assert np.all(c >= r) and np.all(c >= direct)
+
+    def test_links_of_two_uavs_are_no_family(self):
+        a, b = _links()[:2]
+        with pytest.raises(ValueError, match="share"):
+            mc_snr_cdf([a.link("ris", 16), b.link("ris", 16)], [[1.0], [1.0]],
+                       McConfig(trials=10, seed=0))
+
+    def test_one_grid_per_member(self):
+        link = self._channel().link("direct", 0)
+        with pytest.raises(ValueError, match="one gamma grid per link"):
+            mc_snr_cdf([link, link], [[1.0]], McConfig(trials=10, seed=0))
+
+    def test_batch_memory_flat_in_elements(self):
+        channel = self._channel()
+        cfg = McConfig(trials=4_000, seed=45)
+        peaks = {}
+        for n in (64, 1024):
+            tracemalloc.start()
+            try:
+                mc_snr_cdf([channel.link("ris", n)], [[1.0]], cfg)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1024] <= 2 * peaks[64]
