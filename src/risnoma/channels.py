@@ -72,23 +72,16 @@ class NakagamiParams:
 
 @dataclass(frozen=True)
 class RisLinkParams:
-    """Two-hop cascaded link through one RIS partition of n_elements elements."""
+    """Fading of the two-hop cascaded link through one RIS partition of
+    n_elements elements; its path loss lives in LinkBudget."""
 
     hop_g2r: NakagamiParams
     hop_r2a: NakagamiParams
     n_elements: int
-    amp_g2r: float
-    amp_r2a: float
 
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError("RIS partition needs at least one element")
-        if self.amp_g2r <= 0 or self.amp_r2a <= 0:
-            raise ValueError("path-loss amplitudes must be positive")
-
-    @property
-    def amp_cascade(self) -> float:
-        return self.amp_g2r * self.amp_r2a
 
 
 @dataclass(frozen=True)
@@ -453,13 +446,7 @@ class LinkChannel:
         )
 
     def ris_params(self, n_elements: int) -> RisLinkParams:
-        return RisLinkParams(
-            hop_g2r=self.hop_g2r,
-            hop_r2a=self.hop_r2a,
-            n_elements=n_elements,
-            amp_g2r=self.amp_g2r,
-            amp_r2a=self.amp_r2a,
-        )
+        return RisLinkParams(hop_g2r=self.hop_g2r, hop_r2a=self.hop_r2a, n_elements=n_elements)
 
     def laguerre(self, n_elements: int):
         if n_elements == 0:

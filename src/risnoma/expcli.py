@@ -2,8 +2,8 @@
 
 Every runner writes schema-stable CSV plus a JSON run manifest into the
 output directory; reruns with identical config and seed are byte-identical.
-dBm-to-watt conversion happens once at the config boundary (inside
-resolve_links); everything downstream works in linear units.
+dBm-to-watt conversion happens at the config boundary (inside resolve_links,
+and for the sweep-power grid); everything downstream works in linear units.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ import yaml
 
 from . import __version__
 from .channels import LINK_KINDS, Link, composite_snr_cdf_quadrature, resolve_links
-from .environment import EnvironmentParams, ScenarioConfig, generate_scenario
+from .environment import (
+    EnvironmentParams,
+    ScenarioConfig,
+    dbm_to_watt,
+    generate_scenario,
+    noise_power_w,
+)
 from .noma import OutageModel, PowerAllocation, _sic_margins, ordered_cdf
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
 from .sim_oracle import McConfig, mc_noma_outage, mc_snr_cdf
@@ -111,7 +117,6 @@ class SweepBlock:
     variable: str = "n_elements"
     grid: tuple = ()
     fixed_n_elements: int = 64
-    fixed_tx_power_dbm: float = 37.0
     fixed_target_rate: float = 1.0
 
     def __post_init__(self):
@@ -292,11 +297,8 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # model construction
 
 
-def _resolved_links(cfg: ExperimentConfig, seed: int, tx_power_dbm=None):
-    scen_cfg = cfg.scenario
-    if tx_power_dbm is not None:
-        scen_cfg = dataclasses.replace(scen_cfg, tx_power_dbm=float(tx_power_dbm))
-    scenario = generate_scenario(scen_cfg, seed)
+def _resolved_links(cfg: ExperimentConfig, seed: int):
+    scenario = generate_scenario(cfg.scenario, seed)
     return resolve_links(
         cfg.environment,
         scenario,
@@ -349,14 +351,12 @@ def _write_csv(path: Path, columns, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int, extra=None):
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int):
     manifest = {
         "config": _to_plain(cfg),
         "seed": seed,
         "package_version": __version__,
     }
-    if extra:
-        manifest.update(extra)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -418,21 +418,32 @@ def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled:
 
 
 def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
+    """Composite-link outage at sweep.fixed_n_elements over a power or rate grid.
+
+    One drop serves the whole sweep, resolved at scenario.tx_power_dbm. A rate
+    point reuses its links as they are; a power point sets only their
+    gamma_bar_c = P_t / P_N, the one link constant transmit power enters.
+    With MC on, every point draws at mc.seed, so the points share their
+    random numbers and, at fixed beta, the MC columns are monotone in the
+    swept variable.
+    """
     _require_sweep_variable(cfg, variable)
+    drop = _resolved_links(cfg, seed)
+    noise_w = noise_power_w(cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
+    n_val = int(cfg.sweep.fixed_n_elements)
     rows = []
-    for sweep_idx, value in enumerate(cfg.sweep.grid):
+    for value in cfg.sweep.grid:
+        links, rate = drop, cfg.sweep.fixed_target_rate
         if variable == "tx_power_dbm":
-            links = _resolved_links(cfg, seed, tx_power_dbm=value)
-            rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
+            gamma_bar_c = dbm_to_watt(float(value)) / noise_w
+            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in drop]
         else:
-            links = _resolved_links(cfg, seed, tx_power_dbm=cfg.sweep.fixed_tx_power_dbm)
-            rates = tuple(float(value) for _ in links)
-        model = OutageModel(links, rates, link_type="composite")
+            rate = float(value)
+        model = OutageModel(links, tuple(rate for _ in links), link_type="composite")
         alloc = _allocation(cfg, model)
-        n_val = int(cfg.sweep.fixed_n_elements)
         mc = [(None, None)] * model.m_users
         if mc_enabled:
-            mc = _mc_columns(model, alloc, n_val, cfg.mc.config(seed_offset=1000 * sweep_idx))
+            mc = _mc_columns(model, alloc, n_val, cfg.mc.config(0))
         for rank in range(1, model.m_users + 1):
             analytic = model.outage(rank, alloc, n_val)
             rows.append((variable, float(value), rank, "composite", analytic, *mc[rank - 1]))

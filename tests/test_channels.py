@@ -46,9 +46,9 @@ PROD_MEAN_M2 = 0.8835729338221293
 PROD_VAR_M2 = 0.2192988706169550
 
 
-def _ris(n, m=1.0, omega=1.0, amp=1.0):
+def _ris(n, m=1.0, omega=1.0):
     p = NakagamiParams(m=m, omega=omega)
-    return RisLinkParams(hop_g2r=p, hop_r2a=p, n_elements=n, amp_g2r=amp, amp_r2a=amp)
+    return RisLinkParams(hop_g2r=p, hop_r2a=p, n_elements=n)
 
 
 def _table_i_link(seed=7, m_direct=1.5, m_hops=2.0, tx_power_dbm=37.0):

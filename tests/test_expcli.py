@@ -76,10 +76,12 @@ class TestLoadConfig:
         assert "varible" in str(exc.value)
 
     @pytest.mark.parametrize("text", ["scenario:\n  target_rate_bpc: 3.0\n",
-                                      "output:\n  formats: [csv]\n"],
-                             ids=["target_rate_bpc", "formats"])
+                                      "output:\n  formats: [csv]\n",
+                                      "sweep:\n  fixed_tx_power_dbm: 37.0\n"],
+                             ids=["target_rate_bpc", "formats", "fixed_tx_power_dbm"])
     def test_removed_keys_rejected(self, tmp_path, text):
-        # rates come from sweep.fixed_target_rate and every writer writes CSV
+        # rates come from sweep.fixed_target_rate, every writer writes CSV and
+        # every subcommand but sweep-power runs at scenario.tx_power_dbm
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(_write(tmp_path, text))
 
@@ -170,6 +172,135 @@ class TestScalarSweeps:
         for uav in ("1", "2", "3"):
             curve = [float(r["outage_analytic"]) for r in rows if r["uav"] == uav]
             assert all(x < y for x, y in zip(curve, curve[1:]))  # rate up -> outage up
+
+
+class TestScalarSweepsShareOneDrop:
+    """sweep-power and sweep-rate score their points on one drop at
+    scenario.tx_power_dbm, with every MC point at mc.seed; N = 16 keeps the
+    outages visible at 30 dBm."""
+
+    @staticmethod
+    def _run(tmp_path, runner, variable, grid, mc_enabled):
+        text = FAST_YAML.replace("variable: n_elements", f"variable: {variable}")
+        text = text.replace("grid: [0, 4, 16, 64]", f"grid: {grid}")
+        text = text.replace("fixed_n_elements: 64", "fixed_n_elements: 16")
+        out = tmp_path / variable
+        out.mkdir()
+        cfg = load_config(_write(out, text.replace("trials: 20000", "trials: 2000")))
+        return {(value, rank): (analytic, mc)
+                for _, value, rank, kind, analytic, mc, _ in runner(cfg, 7, out, mc_enabled)
+                if kind == "composite"}
+
+    def test_one_operating_point_one_number(self, tmp_path):
+        # 30 dBm, N = 16 and 1 bpc, each placed after another grid point
+        links = self._run(tmp_path, expcli.run_sweep_links, "n_elements", "[0, 16]", False)
+        power = self._run(tmp_path, expcli.run_sweep_power, "tx_power_dbm", "[28.0, 30.0]", True)
+        rate = self._run(tmp_path, expcli.run_sweep_rate, "target_rate", "[0.8, 1.0]", True)
+        for rank in (1, 2, 3):
+            assert power[30.0, rank][0] == links[16, rank][0]
+            assert rate[1.0, rank][0] == links[16, rank][0]
+            assert power[30.0, rank][1] == rate[1.0, rank][1]
+
+    def test_mc_columns_monotone(self, tmp_path):
+        # the points share their draws, SNR = gamma_bar_c * amp^2 and the rate
+        # event is monotone in R and in the SNR, so the MC columns are ordered
+        # exactly, rank by rank
+        rates, powers = (1.0, 1.02, 1.04, 1.06), (30.0, 30.1, 30.2, 30.3)
+        rate = self._run(tmp_path, expcli.run_sweep_rate, "target_rate", list(rates), True)
+        power = self._run(tmp_path, expcli.run_sweep_power, "tx_power_dbm", list(powers), True)
+        for rank in (1, 2, 3):
+            column = [rate[r, rank][1] for r in rates]
+            assert column == sorted(column), (rank, column)
+            column = [power[p, rank][1] for p in powers]
+            assert column == sorted(column, reverse=True), (rank, column)
+
+
+# Analytic column of run_sweep_power and run_sweep_rate on the first three
+# drops of the benchmark's sweep configs, as float.hex; the sweeps must
+# reproduce them bit for bit.
+GOLDEN_SCALAR_SWEEP = {
+    ("sweep-power", 0): (
+        "0x1.447e0353774f4p-128", "0x1.c46af74a2a90ap-246", "0x1.8f136a16d0dd8p-565",
+        "0x1.447337d9948d2p-132", "0x1.d37c00fb5b5b8p-260", "0x1.5cabcba2ab17ap-586",
+        "0x1.a496ab183c2dep-136", "0x1.0994513e4617cp-272", "0x1.1d8db2ff1374fp-605",
+        "0x1.5a8e055264e68p-139", "0x1.41740f6551de5p-284", "0x1.91d4df5163758p-623",
+        "0x1.64155e5fa6dfap-142", "0x1.8e84e48e54321p-295", "0x1.bc57dc5a2c6e1p-639",
+        "0x1.bfd7b7a18102ep-145", "0x1.e45b8868d4c4cp-305", "0x1.6151deaf5e7f9p-653",
+        "0x1.52aa7278e8e28p-147", "0x1.1394204e64fa5p-313", "0x1.728fd180cec0bp-666",
+        "0x1.2edc73f6f3b39p-149", "0x1.1839f856ccebbp-321", "0x1.d7ddc5c5c2115p-678",
+        "0x1.3b430bdd51343p-151", "0x1.e666af811be32p-329", "0x1.513c30ef0da63p-688",
+        "0x1.784e87d4cd4d9p-153", "0x1.589a5cff3de68p-335", "0x1.f68f8d65eecaap-698",
+        "0x1.fbbaf5833ba5ep-155", "0x1.7e087c916d712p-341", "0x1.6c6b740fa5a36p-706",
+    ),
+    ("sweep-power", 1): (
+        "0x1.db738d1a8e31cp-10", "0x1.e0c8a5fb98552p-12", "0x1.208d0c8f6fa06p-27",
+        "0x1.34cd1abed5a6cp-10", "0x1.e486d53585bccp-13", "0x1.05253e473e0d2p-29",
+        "0x1.8b811e2ba749cp-11", "0x1.e57638ed33277p-14", "0x1.cd613c8f66d7cp-32",
+        "0x1.f223e5b9df104p-12", "0x1.e3e72061cf771p-15", "0x1.8d44448b94946p-34",
+        "0x1.3373d2e2fd0e6p-12", "0x1.e017bf126d272p-16", "0x1.4cb2998326c56p-36",
+        "0x1.724fa1ee9b58ap-13", "0x1.da365ddc80c81p-17", "0x1.0e322b3470a3cp-38",
+        "0x1.b0a408d6b62fcp-14", "0x1.d263e3b9f5756p-18", "0x1.a7f5a49c657b8p-41",
+        "0x1.e65fd0c67500cp-15", "0x1.c8b66d7a0c702p-19", "0x1.3fbc8626fab8ep-43",
+        "0x1.041e2741da4a9p-15", "0x1.bd3bd4b92de72p-20", "0x1.ccbc37c7bc5a5p-46",
+        "0x1.046b400612df4p-16", "0x1.affc1e9675c19p-21", "0x1.3aabcd0a72207p-48",
+        "0x1.dc20679f0b870p-18", "0x1.a0fbd7e0fe86ep-22", "0x1.93734daefa58ep-51",
+    ),
+    ("sweep-power", 2): (
+        "0x1.1b0c4510aaeecp-10", "0x1.48c230ef7fe42p-12", "0x1.c7cd1ef7c6ecap-5",
+        "0x1.662a093e8ff74p-11", "0x1.4a310cd3e75a0p-13", "0x1.b4149c005bda2p-6",
+        "0x1.bc90b7656132ep-12", "0x1.49d609d1e721ep-14", "0x1.8a47f8f31296cp-7",
+        "0x1.0d850d06137d6p-12", "0x1.47e0c95ca7e8bp-15", "0x1.542b4c54eb391p-8",
+        "0x1.3d7b211f27836p-13", "0x1.44756265994b6p-16", "0x1.1a691f0399ceep-9",
+        "0x1.689d1947bb1cap-14", "0x1.3fae09708e730p-17", "0x1.c67330fa558a6p-11",
+        "0x1.86de63ea34b8dp-15", "0x1.399cd4af0e066p-18", "0x1.6479185b59e17p-12",
+        "0x1.8e391a62c5bdcp-16", "0x1.324d7bdacbd5cp-19", "0x1.11f072fc68957p-13",
+        "0x1.74c4a8443d92cp-17", "0x1.29c70884dadc8p-20", "0x1.9e1f936d95afep-15",
+        "0x1.3545256aea224p-18", "0x1.200d777e6c4b5p-21", "0x1.34e24b2035c31p-16",
+        "0x1.acaad77b80e0cp-20", "0x1.1523520effae1p-22", "0x1.c7deb8806d840p-18",
+    ),
+    ("sweep-rate", 0): (
+        "0x1.5e9d4ffa4294bp-153", "0x1.cd9906bbc4670p-336", "0x1.7d7f69753d68dp-698",
+        "0x1.a9bcfeeb6bb2cp-152", "0x1.976d387b4176ap-331", "0x1.5e27143e78648p-691",
+        "0x1.fdb94870bc294p-151", "0x1.56390f847d48cp-326", "0x1.270b6a420a589p-684",
+        "0x1.2edc73f6f3b39p-149", "0x1.1839f856ccebbp-321", "0x1.d7ddc5c5c2115p-678",
+        "0x1.67021b26d378bp-148", "0x1.c7e98a71cd94dp-317", "0x1.6f3fc7fe24622p-671",
+        "0x1.aa337b37c0792p-147", "0x1.762804bc4cf58p-312", "0x1.1bcf392bc38cbp-664",
+        "0x1.fc6405a6198dfp-146", "0x1.39d5b7d5ad4cfp-307", "0x1.bab8001e5a870p-658",
+        "0x1.31843cfbacb56p-144", "0x1.101c18b870ed7p-302", "0x1.6144bce89da11p-651",
+        "0x1.72e3d3921fc6ap-143", "0x1.ecbda42aafacep-298", "0x1.23b8f5c6224fdp-644",
+    ),
+    ("sweep-rate", 1): (
+        "0x1.f1a7f30a4641cp-17", "0x1.93671ccc2ab14p-21", "0x1.2263cf7441825p-48",
+        "0x1.a646585cd7eaap-16", "0x1.5d7b79df87d03p-20", "0x1.102a998012cb4p-46",
+        "0x1.49f6031d3ca74p-15", "0x1.2006f35c078ccp-19", "0x1.b90c6a45d411cp-45",
+        "0x1.e65fd0c67500cp-15", "0x1.c8b66d7a0c702p-19", "0x1.3fbc8626fab8ep-43",
+        "0x1.573f04aa3a276p-14", "0x1.5f1b70b472830p-18", "0x1.a8b59321c47e0p-42",
+        "0x1.d497821f4d77ap-14", "0x1.0743ba9831d2ep-17", "0x1.06d878c9c3fcep-40",
+        "0x1.378cbb935b88dp-13", "0x1.82c65b2ddfeaap-17", "0x1.3300f36efa70cp-39",
+        "0x1.9593b969d0be0p-13", "0x1.174dd07250710p-16", "0x1.559f9778f6f47p-38",
+        "0x1.036e73a23566ap-12", "0x1.8da6a933211d7p-16", "0x1.6ce03c8e8e592p-37",
+    ),
+    ("sweep-rate", 2): (
+        "0x1.235e0c1a83444p-18", "0x1.0cea01970d7e6p-21", "0x1.277fcb9492081p-16",
+        "0x1.1f525b9ac2540p-17", "0x1.d304f46afa8eep-21", "0x1.34119024d7734p-15",
+        "0x1.f3423570c32d2p-17", "0x1.81a9a00fce2c0p-20", "0x1.2ae7490289d54p-14",
+        "0x1.8e391a62c5bdcp-16", "0x1.324d7bdacbd5cp-19", "0x1.11f072fc68957p-13",
+        "0x1.2ad1605ef34d7p-15", "0x1.d7b3a2a27f8d6p-19", "0x1.df500a3811c56p-13",
+        "0x1.ac7e5f8419931p-15", "0x1.6234aa3dc6d59p-18", "0x1.9361298403880p-12",
+        "0x1.28a14d993033ap-14", "0x1.048c1e16c6f45p-17", "0x1.487694444d782p-11",
+        "0x1.8f734704e2614p-14", "0x1.78cac15b17582p-17", "0x1.03f00556bd17fp-10",
+        "0x1.06fdea3fa1491p-13", "0x1.0c8f92c41759fp-16", "0x1.913bc8010d94ap-10",
+    ),
+}
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+
+
+@pytest.mark.parametrize("config, drop", sorted(GOLDEN_SCALAR_SWEEP), ids=lambda v: str(v))
+def test_scalar_sweep_golden_floats(tmp_path, config, drop):
+    cfg = load_config(BENCH_CONFIGS / f"{config}.yaml")
+    runner = {"sweep-power": expcli.run_sweep_power, "sweep-rate": expcli.run_sweep_rate}[config]
+    got = tuple(float(row[4]).hex() for row in runner(cfg, drop, tmp_path, False))
+    assert got == GOLDEN_SCALAR_SWEEP[config, drop]
 
 
 class TestRuomCommand:
@@ -316,7 +447,7 @@ class TestCliErrors:
 
 class TestMcCalls:
     """One Monte Carlo run covers every rank: a whole sweep-links grid, or one
-    point of a scalar sweep."""
+    point of a scalar sweep, every point at mc.seed."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -348,6 +479,26 @@ class TestMcCalls:
         cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
         assert main(["sweep-rate", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 2
+        assert [call[3] for call in calls] == [sim_oracle.McConfig(trials=500, seed=5,
+                                                                   batch=250_000)] * 2
+
+    @pytest.mark.parametrize("variable, grid, runner", [
+        ("tx_power_dbm", "[30.0, 34.0, 38.0]", expcli.run_sweep_power),
+        ("target_rate", "[0.8, 1.0, 1.2]", expcli.run_sweep_rate),
+    ], ids=["sweep-power", "sweep-rate"])
+    def test_one_drop_per_scalar_sweep(self, tmp_path, monkeypatch, variable, grid, runner):
+        drops = []
+
+        def counting(*args):
+            drops.append(args)
+            return generate_scenario(*args)
+
+        generate_scenario = expcli.generate_scenario
+        monkeypatch.setattr(expcli, "generate_scenario", counting)
+        text = FAST_YAML.replace("variable: n_elements", f"variable: {variable}")
+        cfg = load_config(_write(tmp_path, text.replace("grid: [0, 4, 16, 64]", f"grid: {grid}")))
+        runner(cfg, 7, tmp_path, False)
+        assert len(drops) == 1
 
 
 class _CountingRng:

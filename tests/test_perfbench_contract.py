@@ -33,6 +33,15 @@ def test_first_op_of_each_kind_passes_its_checks(wl, tmp_path, workload):
         wl.result_bytes(op, tmp_path)  # every declared result file was written
 
 
+def test_every_curves_op_passes_its_checks(wl, tmp_path):
+    plan = wl.plan("curves", 1, wl.load_configs("curves"))
+    assert len(plan) == 102
+    for op in plan:
+        result = wl.run_op(op, tmp_path)
+        assert wl.failure(op, result) is None
+        assert wl.check(op, result) == [], op
+
+
 def test_every_mc_check_op_passes_its_checks(wl, tmp_path):
     # the MC columns and MC-based checks each op writes, against their bounds
     plan = wl.plan("mc-check", 1, wl.load_configs("mc-check"))

@@ -33,7 +33,7 @@ from risnoma.sim_oracle import (
 
 def _ris(n, m=1.0):
     p = NakagamiParams(m=m, omega=1.0)
-    return RisLinkParams(hop_g2r=p, hop_r2a=p, n_elements=n, amp_g2r=1.0, amp_r2a=1.0)
+    return RisLinkParams(hop_g2r=p, hop_r2a=p, n_elements=n)
 
 
 class TestSamplers:
