@@ -313,13 +313,7 @@ def _psi(p1: float, p2: float, c1: float, c2: float, c3: float, n: int) -> float
     return total
 
 
-def composite_snr_cdf_closed(
-    fit,
-    direct: NakagamiParams,
-    budget: LinkBudget,
-    gamma,
-    clamp: bool = True,
-) -> float:
+def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, gamma) -> float:
     """Closed-form composite CDF (truncated-normal sum model + Chernoff tail).
 
     Two branches split on the sum mean versus sqrt(gamma/gamma_bar_r); inside
@@ -327,7 +321,7 @@ def composite_snr_cdf_closed(
     solved with incomplete gamma functions.  Requires 2*m3 within 1e-6 of an
     integer (the psi expansion is finite only then); Link.cdf snaps the
     fitted direct shape to the nearest half-integer before invoking it.
-    With clamp=False the raw value is returned for diagnostics.
+    The value is clamped to [0, 1].
     """
     gamma = float(gamma)
     if gamma < 0.0:
@@ -369,9 +363,7 @@ def composite_snr_cdf_closed(
         val += scale * (
             _psi(m_split, big_t, c1, c2, c3, n_pow) - _psi(0.0, m_split, c1, c2, c3, n_pow)
         )
-    if clamp:
-        val = min(max(val, 0.0), 1.0)
-    return val
+    return min(max(val, 0.0), 1.0)
 
 
 def _half_integer_m(p: NakagamiParams) -> NakagamiParams:

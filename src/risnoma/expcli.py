@@ -360,11 +360,15 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _mc_columns(model: OutageModel, alloc, n_elements: int, mc_cfg):
-    """(MC outage, half-width) of every rank, all ranks at n_elements."""
-    families = [[model.link(rank, n_elements)] for rank in range(1, model.m_users + 1)]
-    estimates = mc_noma_outage(families, alloc, model.rates, mc_cfg)
-    return [(ests[0].value, ests[0].halfwidth) for ests in estimates]
+def _mc_point(model: OutageModel, alloc, n_elements: int):
+    """One mc_noma_outage operating point: every rank's link at n_elements."""
+    links = [model.link(rank, n_elements) for rank in range(1, model.m_users + 1)]
+    return links, alloc, model.rates
+
+
+def _mc_cell(est):
+    """(outage_mc, mc_halfwidth) of one McEstimate; empty with MC off."""
+    return (None, None) if est is None else (est.value, est.halfwidth)
 
 
 def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
@@ -379,9 +383,9 @@ def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
 def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled: bool):
     """Outage versus RIS element count for direct, RIS-only and composite links.
 
-    With MC on, one run covers the sweep: each rank draws one family, every
-    distinct link of its UAV over the grid and the link kinds, so all cells
-    share common random numbers.
+    With MC on, one run covers the sweep: one point per (N, kind) cell, so
+    each rank draws one family, every distinct link of its UAV over the grid
+    and the link kinds, and all cells share common random numbers.
     """
     _require_sweep_variable(cfg, "n_elements")
     links = _resolved_links(cfg, seed)
@@ -389,18 +393,12 @@ def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled:
     models = {lt: OutageModel(links, rates, link_type=lt) for lt in LINK_KINDS}
     alloc = _allocation(cfg, models["composite"])
     ranks = range(1, len(links) + 1)
-    mc = {}
+    # RIS-only at N = 0 has no path, so it gets no MC cell
+    cells = [(n, lt) for n in cfg.sweep.grid for lt in LINK_KINDS if lt != "ris" or n > 0]
+    mc = dict.fromkeys(cells, [None] * len(links))
     if mc_enabled:
-        # every distinct link of the rank's UAV: composite at N = 0 is the
-        # direct link, and RIS-only at N = 0 has no path
-        families = [
-            list(dict.fromkeys(models[lt].link(rank, n) for n in cfg.sweep.grid
-                               for lt in LINK_KINDS if lt != "ris" or n > 0))
-            for rank in ranks
-        ]
-        estimates = mc_noma_outage(families, alloc, rates, cfg.mc.config(0))
-        for rank, family, ests in zip(ranks, families, estimates):
-            mc.update(((rank, link), (e.value, e.halfwidth)) for link, e in zip(family, ests))
+        points = [_mc_point(models[lt], alloc, n) for n, lt in cells]
+        mc.update(zip(cells, mc_noma_outage(points, cfg.mc.config(0))))
     rows = []
     for n_val in cfg.sweep.grid:
         for link_type in LINK_KINDS:
@@ -410,7 +408,7 @@ def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled:
                     rows.append(("n_elements", n_val, rank, link_type, 1.0, None, None))
                     continue
                 analytic = model.outage(rank, alloc, n_val)
-                cell = mc.get((rank, model.link(rank, n_val)), (None, None))
+                cell = _mc_cell(mc[n_val, link_type][rank - 1])
                 rows.append(("n_elements", n_val, rank, link_type, analytic, *cell))
     _write_csv(out_dir / "sweep_links.csv", SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
@@ -423,15 +421,15 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
     One drop serves the whole sweep, resolved at scenario.tx_power_dbm. A rate
     point reuses its links as they are; a power point sets only their
     gamma_bar_c = P_t / P_N, the one link constant transmit power enters.
-    With MC on, every point draws at mc.seed, so the points share their
-    random numbers and, at fixed beta, the MC columns are monotone in the
-    swept variable.
+    With MC on, one run scores every point from one draw per rank, so the
+    points share their random numbers and, at fixed beta, the MC columns are
+    monotone in the swept variable.
     """
     _require_sweep_variable(cfg, variable)
     drop = _resolved_links(cfg, seed)
     noise_w = noise_power_w(cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
     n_val = int(cfg.sweep.fixed_n_elements)
-    rows = []
+    points, analytic = [], []
     for value in cfg.sweep.grid:
         links, rate = drop, cfg.sweep.fixed_target_rate
         if variable == "tx_power_dbm":
@@ -441,12 +439,14 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
             rate = float(value)
         model = OutageModel(links, tuple(rate for _ in links), link_type="composite")
         alloc = _allocation(cfg, model)
-        mc = [(None, None)] * model.m_users
-        if mc_enabled:
-            mc = _mc_columns(model, alloc, n_val, cfg.mc.config(0))
-        for rank in range(1, model.m_users + 1):
-            analytic = model.outage(rank, alloc, n_val)
-            rows.append((variable, float(value), rank, "composite", analytic, *mc[rank - 1]))
+        points.append(_mc_point(model, alloc, n_val))
+        analytic.append([model.outage(rank, alloc, n_val) for rank in range(1, model.m_users + 1)])
+    mc = [[None] * len(drop)] * len(points)
+    if mc_enabled:
+        mc = mc_noma_outage(points, cfg.mc.config(0))
+    rows = [(variable, float(value), rank, "composite", outage, *_mc_cell(est))
+            for value, outages, ests in zip(cfg.sweep.grid, analytic, mc)
+            for rank, (outage, est) in enumerate(zip(outages, ests), start=1)]
     _write_csv(out_dir / filename, SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
     return rows
@@ -564,11 +564,11 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     alloc = _allocation(cfg, model)
     n_fixed = int(cfg.sweep.fixed_n_elements)
     analytic_out = model.outages(alloc, [n_fixed] * len(links))
-    mc_out = _mc_columns(model, alloc, n_fixed, cfg.mc.config(3))
-    for rank, (a_val, (mc_val, mc_hw)) in enumerate(zip(analytic_out, mc_out), start=1):
-        if a_val >= 1e-2 or mc_val >= 1e-2:
-            _check(report, f"noma_outage_rank{rank}", abs(a_val - mc_val),
-                   tols.outage_abs_tol + mc_hw)
+    [mc_out] = mc_noma_outage([_mc_point(model, alloc, n_fixed)], cfg.mc.config(3))
+    for rank, (a_val, est) in enumerate(zip(analytic_out, mc_out), start=1):
+        if a_val >= 1e-2 or est.value >= 1e-2:
+            _check(report, f"noma_outage_rank{rank}", abs(a_val - est.value),
+                   tols.outage_abs_tol + est.halfwidth)
 
     report["passed"] = all(c["passed"] for c in report["checks"])
     (out_dir / "validate_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))

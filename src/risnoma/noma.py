@@ -63,19 +63,18 @@ class PowerAllocation:
         return math.fsum(self.beta[j:])
 
 
-def achievable_rate(gamma_m: float, alloc: PowerAllocation, m: int) -> float:
+def achievable_rate(gamma_m, alloc: PowerAllocation, m: int):
     """Rate of rank m after SIC: log2(1 + g b_m / (g sum_{i>m} b_i + 1))."""
     return decode_rate(gamma_m, alloc, m, m)
 
 
-def decode_rate(gamma_m: float, alloc: PowerAllocation, m: int, j: int) -> float:
-    """Rate at which rank m decodes rank j's signal (j <= m)."""
+def decode_rate(gamma_m, alloc: PowerAllocation, m: int, j: int):
+    """Rate at which rank m decodes rank j's signal (j <= m), at scalar or array SNR."""
     if not 1 <= j <= m <= alloc.m_users:
         raise ValueError(f"require 1 <= j <= m <= M, got j={j}, m={m}")
-    if gamma_m < 0:
-        raise ValueError("SNR must be nonnegative")
+    gamma_m = _checked(gamma_m, lambda g: g < 0.0, "SNR must be nonnegative")
     interf = alloc.interference(j)
-    return math.log2(1.0 + gamma_m * alloc.beta[j - 1] / (gamma_m * interf + 1.0))
+    return np.log2(1.0 + gamma_m * alloc.beta[j - 1] / (gamma_m * interf + 1.0))
 
 
 def _sic_margins(beta, rates, m: int):
@@ -109,9 +108,13 @@ def sic_thresholds(alloc: PowerAllocation, rates, m: int):
                 f"beta_{j} - (2^R-1)*interference = {denom:.6g} <= 0",
             )
         lbs.append(phi / denom)
-    if m == alloc.m_users:
-        return lbs, lbs[-1]
-    return lbs, max(lbs)
+    return lbs, _binding_threshold(lbs, m, alloc.m_users)
+
+
+def _binding_threshold(lbs, m: int, m_users: int) -> float:
+    """Rank m's binding SIC threshold from the gamma_j^lb of ranks 1..m (or more):
+    max_{j <= m} gamma_j^lb for m < M, gamma_M^lb alone for m = M."""
+    return lbs[m - 1] if m == m_users else max(lbs[:m])
 
 
 def ordered_cdf(parent_cdf_value, m: int, total: int):
@@ -169,10 +172,9 @@ class OutageModel:
     def outages(self, alloc: PowerAllocation, n_per_rank):
         """Outage of every rank, from one pass over the SIC thresholds."""
         lbs, _ = sic_thresholds(alloc, self.rates, self.m_users)
-        last = self.m_users
         return [
-            self._score(m, int(n_per_rank[m - 1]), lbs[-1] if m == last else max(lbs[:m]))
-            for m in range(1, last + 1)
+            self._score(m, int(n_per_rank[m - 1]), _binding_threshold(lbs, m, self.m_users))
+            for m in range(1, self.m_users + 1)
         ]
 
     def _score(self, rank: int, n_elements: int, gamma_mlb: float) -> float:

@@ -1,12 +1,12 @@
 """Monte Carlo ground-truth engine for every closed-form distribution.
 
-Both estimators take a *family* of Links of one UAV: links that share the
-direct fading, the RIS hops and the budget and differ only in kind and
-element count N.  Per batch a family draws its direct amplitude once and its
-element sums once, as one running sum over the elements read off at every N
-the family asks for, so its links see common random numbers: draws never
-fall as N grows and a composite draw is never below its direct or RIS-only
-draw.  Single-link callers pass a family of one.
+Both estimators draw from a *family* of Links: links that share the direct
+fading and the RIS hops, each with its own kind, element count N and budget.
+Per batch a family draws its direct fading once and its element sums once, as
+one running sum over the elements read off at every N the family asks for,
+and each link scales those draws by its own budget.  So its links see common
+random numbers: draws never fall as N grows and a composite draw is never
+below its direct or RIS-only draw.
 
 All estimators draw in fixed-size batches whose generators are derived from
 (seed, batch index), and reduce with order-insensitive integer counts, so
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import NakagamiParams, RisLinkParams
-from .noma import PowerAllocation
+from .noma import decode_rate
 
 __all__ = [
     "McConfig",
@@ -123,41 +123,40 @@ def _element_sums(ris: RisLinkParams, counts, rng, shape) -> dict:
 
 
 def _shared_fading(family):
-    """(direct fading, RIS hops, budget) that every link of a family shares;
-    the RIS hops come back as RisLinkParams of one element."""
+    """(direct fading, RIS hops) that every link of a family shares; the RIS
+    hops come back as RisLinkParams of one element."""
     if not family:
         raise ValueError("a link family needs at least one link")
-    budget = family[0].budget
     directs = {link.direct for link in family if link.direct is not None}
     hops = {replace(link.ris, n_elements=1) for link in family if link.ris is not None}
-    if len(directs) > 1 or len(hops) > 1 or any(link.budget != budget for link in family):
-        raise ValueError("links of a family must share direct fading, RIS hops and budget")
-    return next(iter(directs), None), next(iter(hops), None), budget
+    if len(directs) > 1 or len(hops) > 1:
+        raise ValueError("links of a family must share direct fading and RIS hops")
+    return next(iter(directs), None), next(iter(hops), None)
 
 
 def _family_snrs(family, rng, size):
     """SNR draws of every link of a family, one array per link in order.
 
-    The direct amplitude is drawn once (first, so a direct link alone draws
-    what it always drew) and the element sums once, at every N the family
-    asks for.  Every SNR is gamma_bar_c * amp^2 with amp the sum of the
-    amplitudes present, so a composite draw is never below its direct or
-    RIS-only draw, and draws never fall as N grows.
+    The direct fading w is drawn once (first, so a direct link alone draws
+    what it always drew) and the element sums S_N once, at every N the
+    family asks for.  Each link's SNR is gamma_bar_c * amp^2 from its own
+    budget, with amp = amp_direct * w + amp_ris * S_N over the paths it has.
     """
-    direct, hops, budget = _shared_fading(family)
+    direct, hops = _shared_fading(family)
     shape = tuple(np.atleast_1d(size))
-    w = None if direct is None else budget.amp_direct * sample_nakagami(direct, rng, shape)
-    ris_amp = {}
+    w = None if direct is None else sample_nakagami(direct, rng, shape)
+    sums = {}
     if hops is not None:
         counts = [link.ris.n_elements for link in family if link.ris is not None]
-        ris_amp = {n: budget.amp_ris * s for n, s in _element_sums(hops, counts, rng, shape).items()}
+        sums = _element_sums(hops, counts, rng, shape)
     for link in family:
+        budget = link.budget
         if link.ris is None:
-            amp = w
+            amp = budget.amp_direct * w
         elif link.direct is None:
-            amp = ris_amp[link.ris.n_elements]
+            amp = budget.amp_ris * sums[link.ris.n_elements]
         else:
-            amp = w + ris_amp[link.ris.n_elements]
+            amp = budget.amp_direct * w + budget.amp_ris * sums[link.ris.n_elements]
         yield budget.gamma_bar_c * amp * amp
 
 
@@ -181,37 +180,42 @@ def mc_snr_cdf(family, gamma_grids, cfg: McConfig) -> list:
             for grid, count in zip(grids, counts)]
 
 
-def mc_noma_outage(families, alloc: PowerAllocation, rates, cfg: McConfig) -> list:
-    """Event-level NOMA outage of every link of one family per ranked UAV.
+def mc_noma_outage(points, cfg: McConfig) -> list:
+    """Event-level NOMA outage of every rank at every operating point.
 
-    families holds one link family per rank, weakest first; the result holds
-    one list per rank with one McEstimate per link of its family.  For rank
-    m, M i.i.d. SNRs per link are drawn from that UAV's family, the m-th
-    smallest is kept, and the outage event is the failure of any decode
+    points[k] is (links, alloc, rates) with links[m - 1] rank m's link; the
+    result holds one list per point with one McEstimate per rank.  Rank m's
+    links over all points form one family, drawn once per batch: M i.i.d.
+    SNRs per link, of which the m-th smallest is kept, so every point is
+    scored on the same draws.  The outage event is the failure of any decode
     rate R_{m,j} (j <= m) to exceed its target -- the rate conditions
-    themselves, not the simplified threshold, so this run is an independent
-    check of the closed-form pipeline.
+    themselves, not the SIC thresholds, so this run is an independent check
+    of the closed-form pipeline.
     """
-    m_users = alloc.m_users
-    if len(families) != m_users or len(rates) != m_users:
-        raise ValueError("need one link family and target rate per user")
-    rates = [float(r) for r in rates]
-    results = []
-    for rank, family in enumerate(families, start=1):
-        failures = [0] * len(family)
+    points = [(links, alloc, tuple(float(r) for r in rates)) for links, alloc, rates in points]
+    m_users = len(points[0][0]) if points else 0
+    if any(len(links) != m_users or alloc.m_users != m_users or len(rates) != m_users
+           for links, alloc, rates in points):
+        raise ValueError("every point needs one link and target rate per user")
+    failures = [[0] * m_users for _ in points]
+    for rank in range(1, m_users + 1):
+        # point indices by link, then by (alloc, rates): each is scored once
+        scored = {}
+        for k, (links, alloc, rates) in enumerate(points):
+            scored.setdefault(links[rank - 1], {}).setdefault((alloc, rates), []).append(k)
+        family = list(scored)
         for idx, size in enumerate(cfg.batch_sizes()):
             rng = batch_rng(cfg.seed + 7919 * rank, idx)
-            for i, draws in enumerate(_family_snrs(family, rng, (m_users, size))):
+            for link, draws in zip(family, _family_snrs(family, rng, (m_users, size))):
                 gamma_m = np.partition(draws, rank - 1, axis=0)[rank - 1]
-                ok = np.ones(size, dtype=bool)
-                for j in range(1, rank + 1):
-                    beta_j = alloc.beta[j - 1]
-                    interf = alloc.interference(j)
-                    rate = np.log2(1.0 + gamma_m * beta_j / (gamma_m * interf + 1.0))
-                    ok &= rate > rates[j - 1]
-                failures[i] += int(size - np.count_nonzero(ok))
-        results.append([_estimate(f, cfg.trials) for f in failures])
-    return results
+                for (alloc, rates), ks in scored[link].items():
+                    ok = np.ones(size, dtype=bool)
+                    for j in range(1, rank + 1):
+                        ok &= decode_rate(gamma_m, alloc, rank, j) > rates[j - 1]
+                    failed = int(size - np.count_nonzero(ok))
+                    for k in ks:
+                        failures[k][rank - 1] += failed
+    return [[_estimate(f, cfg.trials) for f in row] for row in failures]
 
 
 def _estimate(failures: int, trials: int) -> McEstimate:

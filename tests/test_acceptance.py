@@ -128,9 +128,9 @@ def test_criterion_5_noma_outage_cross_check():
         links = _links(tx_power_dbm=ptx, m_direct=1.0)
         model = OutageModel(links, rates, link_type=link_type)
         analytic = model.outages(alloc, [n] * 3)
-        ests = mc_noma_outage([[model.link(rank, n)] for rank in (1, 2, 3)], alloc, rates, cfg)
+        [ests] = mc_noma_outage([([model.link(rank, n) for rank in (1, 2, 3)], alloc, rates)], cfg)
         assert any(a >= 1e-2 for a in analytic), f"no visible outage for {link_type}"
-        for a_val, [est] in zip(analytic, ests):
+        for a_val, est in zip(analytic, ests):
             if a_val >= 1e-2:
                 worst = max(worst, abs(a_val - est.value) - est.halfwidth)
                 checked += 1

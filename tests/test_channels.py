@@ -471,8 +471,6 @@ class TestCompositeClosed:
     def test_unclamped_diagnostic(self):
         link = _table_i_link()
         fit = link.laguerre(16)
-        raw = composite_snr_cdf_closed(fit, link.direct_fading, link.budget(), 1e-9, clamp=False)
-        assert isinstance(raw, float)  # may stray outside [0,1]; clamped path may not
         clamped = composite_snr_cdf_closed(fit, link.direct_fading, link.budget(), 1e-9)
         assert 0.0 <= clamped <= 1.0
 

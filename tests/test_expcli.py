@@ -303,6 +303,26 @@ def test_scalar_sweep_golden_floats(tmp_path, config, drop):
     assert got == GOLDEN_SCALAR_SWEEP[config, drop]
 
 
+# MC columns (outage_mc and mc_halfwidth, as float.hex) of the same sweeps and
+# drops with MC on at 2000 trials, at the configured beta and with
+# noma.beta: optimize; keyed "<config>/<fixed|optimize>/<drop>".
+GOLDEN_SCALAR_SWEEP_MC = json.loads(
+    (Path(__file__).resolve().parent / "golden_scalar_sweep_mc.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SCALAR_SWEEP_MC))
+def test_scalar_sweep_mc_golden_floats(tmp_path, key):
+    config, beta, drop = key.split("/")
+    cfg = load_config(BENCH_CONFIGS / f"{config}.yaml")
+    cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, trials=2000))
+    if beta == "optimize":
+        cfg = dataclasses.replace(cfg, noma=expcli.NomaBlock("optimize"))
+    runner = {"sweep-power": expcli.run_sweep_power, "sweep-rate": expcli.run_sweep_rate}[config]
+    got = [f"{float(row[5]).hex()} {float(row[6]).hex()}"
+           for row in runner(cfg, int(drop), tmp_path, True)]
+    assert got == GOLDEN_SCALAR_SWEEP_MC[key]
+
+
 class TestRuomCommand:
     def test_lambda_grid_report(self, tmp_path):
         text = FAST_YAML + "ruom:\n  lambdas: [0.1, 0.5]\n  delta: 1.0e-3\n"
@@ -446,8 +466,8 @@ class TestCliErrors:
 
 
 class TestMcCalls:
-    """One Monte Carlo run covers every rank: a whole sweep-links grid, or one
-    point of a scalar sweep, every point at mc.seed."""
+    """One Monte Carlo run covers every point and rank of a run: a whole
+    sweep-links grid, a whole scalar sweep or validate's operating point."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -466,21 +486,43 @@ class TestMcCalls:
         cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
         assert main(["sweep-links", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
         assert len(calls) == 1
-        # each rank's family: direct (= composite at N=0), RIS-only and composite at N=4
-        families = calls[0][0]
+        # one point per cell: N=0 direct and composite (RIS-only has no
+        # path), N=4 all three; each rank's family is direct (= composite at
+        # N=0), RIS-only and composite at N=4
+        points = calls[0][0]
+        assert len(points) == 5 and all(len(links) == 3 for links, _, _ in points)
+        families = [dict.fromkeys(links[rank] for links, _, _ in points) for rank in range(3)]
         assert [len(family) for family in families] == [3, 3, 3]
-        # N=0: direct and composite (RIS-only has no path); N=4: all three
         rows = _read_rows(tmp_path / "sweep_links.csv")
         assert sum(r["outage_mc"] != "" for r in rows) == 5 * 3
 
-    def test_sweep_rate(self, tmp_path, calls):
-        text = FAST_YAML.replace("variable: n_elements", "variable: target_rate")
-        text = text.replace("grid: [0, 4, 16, 64]", "grid: [0.8, 1.2]")
+    @staticmethod
+    def _scalar_sweep(tmp_path, cmd, variable, grid):
+        text = FAST_YAML.replace("variable: n_elements", f"variable: {variable}")
+        text = text.replace("grid: [0, 4, 16, 64]", f"grid: {grid}")
         cfg = _write(tmp_path, text.replace("trials: 20000", "trials: 500"))
-        assert main(["sweep-rate", "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
-        assert len(calls) == 2
-        assert [call[3] for call in calls] == [sim_oracle.McConfig(trials=500, seed=5,
-                                                                   batch=250_000)] * 2
+        assert main([cmd, "--config", str(cfg), "--mc", "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_sweep_power(self, tmp_path, calls):
+        self._scalar_sweep(tmp_path, "sweep-power", "tx_power_dbm", "[30.0, 34.0, 38.0]")
+        assert len(calls) == 1
+        points, mc_cfg = calls[0]
+        assert len(points) == 3
+        assert mc_cfg == sim_oracle.McConfig(trials=500, seed=5, batch=250_000)
+
+    def test_sweep_rate(self, tmp_path, calls):
+        self._scalar_sweep(tmp_path, "sweep-rate", "target_rate", "[0.8, 1.2]")
+        assert len(calls) == 1
+        points, mc_cfg = calls[0]
+        assert len(points) == 2
+        assert mc_cfg == sim_oracle.McConfig(trials=500, seed=5, batch=250_000)
+
+    def test_validate(self, tmp_path, calls):
+        text = FAST_YAML.replace("trials: 20000", "trials: 500")
+        cfg = _write(tmp_path, text.replace("fixed_n_elements: 64", "fixed_n_elements: 16"))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
+        assert len(calls[0][0]) == 1
 
     @pytest.mark.parametrize("variable, grid, runner", [
         ("tx_power_dbm", "[30.0, 34.0, 38.0]", expcli.run_sweep_power),
@@ -551,6 +593,31 @@ class TestSweepLinksSharedDraws:
         cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, batch=128))
         expcli.run_sweep_links(cfg, 7, tmp_path, True)
         assert sum(counts) == 3 * 3 * 300 * (2 * 64 + 1)
+
+
+class TestScalarSweepSharedDraws:
+    """sweep-power and sweep-rate draw each rank's fading once per batch for
+    the whole grid."""
+
+    @pytest.mark.parametrize("variable, grid, runner", [
+        ("tx_power_dbm", "[30.0]", expcli.run_sweep_power),
+        ("tx_power_dbm", "[30.0, 31.0, 35.0, 40.0]", expcli.run_sweep_power),
+        ("target_rate", "[1.0]", expcli.run_sweep_rate),
+        ("target_rate", "[0.8, 1.0, 1.2]", expcli.run_sweep_rate),
+    ])
+    def test_gamma_draws(self, tmp_path, monkeypatch, variable, grid, runner):
+        # M ranks x M rows x T trials x (2N + 1), whatever the grid length
+        counts = []
+        batch_rng = sim_oracle.batch_rng
+        monkeypatch.setattr(sim_oracle, "batch_rng",
+                            lambda seed, idx: _CountingRng(batch_rng(seed, idx), counts))
+        text = FAST_YAML.replace("variable: n_elements", f"variable: {variable}")
+        text = text.replace("grid: [0, 4, 16, 64]", f"grid: {grid}")
+        text = text.replace("fixed_n_elements: 64", "fixed_n_elements: 16")
+        cfg = load_config(_write(tmp_path, text.replace("trials: 20000", "trials: 300")))
+        cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, batch=128))
+        runner(cfg, 7, tmp_path, True)
+        assert sum(counts) == 3 * 3 * 300 * (2 * 16 + 1)
 
 
 class TestDeterminism:

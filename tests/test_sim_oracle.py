@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,29 +177,29 @@ class TestMcSnrCdf:
 class TestMcNomaOutage:
     def _model(self):
         model = OutageModel(_links(), (1.0, 1.0, 1.0), link_type="direct")
-        return model, [[model.link(rank, 0)] for rank in (1, 2, 3)]
+        return model, [model.link(rank, 0) for rank in (1, 2, 3)]
 
     def test_single_user_rayleigh_oracle(self):
         p = NakagamiParams(m=1.0, omega=1.0)
         budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=10.0, gamma_bar_c=20.0,
                             amp_direct=math.sqrt(0.5))
-        [[est]] = mc_noma_outage([[Link(p, None, budget)]], PowerAllocation((1.0,)),
-                                 (1.0,), McConfig(trials=400_000, seed=31))
+        [[est]] = mc_noma_outage([([Link(p, None, budget)], PowerAllocation((1.0,)), (1.0,))],
+                                 McConfig(trials=400_000, seed=31))
         assert est.value == pytest.approx(1 - math.exp(-0.1), abs=0.005)
 
     def test_high_power_outage_vanishes(self):
         p = NakagamiParams(m=1.0, omega=1.0)
         budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=1e9, gamma_bar_c=2e9,
                             amp_direct=math.sqrt(0.5))
-        [[est]] = mc_noma_outage([[Link(p, None, budget)]], PowerAllocation((1.0,)),
-                                 (1.0,), McConfig(trials=100_000, seed=32))
+        [[est]] = mc_noma_outage([([Link(p, None, budget)], PowerAllocation((1.0,)), (1.0,))],
+                                 McConfig(trials=100_000, seed=32))
         assert est.value == 0.0
 
     def test_cross_validates_analytic_direct(self):
         model, links = self._model()
         alloc = PowerAllocation((0.7, 0.2, 0.1))
-        ests = mc_noma_outage(links, alloc, model.rates, McConfig(trials=400_000, seed=33))
-        for rank, [est] in enumerate(ests, start=1):
+        [ests] = mc_noma_outage([(links, alloc, model.rates)], McConfig(trials=400_000, seed=33))
+        for rank, est in enumerate(ests, start=1):
             analytic = model.outage(rank, alloc, 0)
             if analytic >= 1e-2 or est.value >= 1e-2:
                 assert abs(analytic - est.value) <= 0.01 + est.halfwidth
@@ -207,9 +208,35 @@ class TestMcNomaOutage:
         model, links = self._model()
         alloc = PowerAllocation((0.7, 0.2, 0.1))
         cfg = McConfig(trials=50_000, seed=34)
-        a = mc_noma_outage(links, alloc, model.rates, cfg)
-        b = mc_noma_outage(links, alloc, model.rates, cfg)
-        assert [e.value for [e] in a] == [e.value for [e] in b]
+        a = mc_noma_outage([(links, alloc, model.rates)], cfg)
+        b = mc_noma_outage([(links, alloc, model.rates)], cfg)
+        assert a == b
+
+    def test_points_score_alone_as_together(self):
+        # every point is scored on its ranks' shared draws, so a point run on
+        # its own gets the same estimates as in a run with other points
+        model, links = self._model()
+        composite = OutageModel(_links(), (1.0, 1.0, 1.0), link_type="composite")
+        points = [
+            (links, PowerAllocation((0.7, 0.2, 0.1)), model.rates),
+            (links, PowerAllocation((0.7, 0.2, 0.1)), (1.2, 1.0, 0.8)),
+            ([composite.link(rank, 16) for rank in (1, 2, 3)],
+             PowerAllocation((0.6, 0.3, 0.1)), model.rates),
+            (links, PowerAllocation((0.7, 0.2, 0.1)), model.rates),
+        ]
+        cfg = McConfig(trials=20_000, seed=35, batch=7_000)
+        together = mc_noma_outage(points, cfg)
+        assert together == [mc_noma_outage([point], cfg)[0] for point in points]
+        assert together[0] == together[3]
+
+    def test_rejects_ragged_points(self):
+        model, links = self._model()
+        alloc = PowerAllocation((0.7, 0.2, 0.1))
+        with pytest.raises(ValueError, match="one link and target rate per user"):
+            mc_noma_outage([(links, alloc, model.rates), (links[:2], alloc, model.rates)],
+                           McConfig(trials=10, seed=0))
+        with pytest.raises(ValueError, match="one link and target rate per user"):
+            mc_noma_outage([(links, alloc, (1.0, 1.0))], McConfig(trials=10, seed=0))
 
 
 class TestFamilies:
@@ -240,11 +267,9 @@ class TestFamilies:
         grid = self._grid(link)
         assert np.array_equal(mc_snr_cdf([link], [grid], cfg)[0].values,
                               mc_snr_cdf([link], [grid], cfg)[0].values)
-        families = [[channel.link("composite", 16)]] * 3
-        alloc = PowerAllocation((0.7, 0.2, 0.1))
-        a = mc_noma_outage(families, alloc, (1.0, 1.0, 1.0), cfg)
-        b = mc_noma_outage(families, alloc, (1.0, 1.0, 1.0), cfg)
-        assert a == b
+        point = ([channel.link("composite", 16)] * 3, PowerAllocation((0.7, 0.2, 0.1)),
+                 (1.0, 1.0, 1.0))
+        assert mc_noma_outage([point], cfg) == mc_noma_outage([point], cfg)
 
     def test_batches_reduce_in_any_order(self):
         # serial == batch-split: the counts of each (seed, batch index)
@@ -273,11 +298,34 @@ class TestFamilies:
         for r, c in zip(ris, comp):
             assert np.all(c >= r) and np.all(c >= direct)
 
-    def test_links_of_two_uavs_are_no_family(self):
-        a, b = _links()[:2]
-        with pytest.raises(ValueError, match="share"):
-            mc_snr_cdf([a.link("ris", 16), b.link("ris", 16)], [[1.0], [1.0]],
-                       McConfig(trials=10, seed=0))
+    def test_links_at_two_powers_are_one_family(self):
+        # links that differ only in gamma_bar_c share the raw draws; each SNR
+        # is its own gamma_bar_c * amp^2 with amp from its own budget
+        channel = self._channel()
+        louder = replace(channel, gamma_bar_c=3.0 * channel.gamma_bar_c)
+        family = [channel.link("composite", 16), louder.link("composite", 16)]
+        shape = (3, 2_000)
+        rng = batch_rng(46, 0)
+        w = sample_nakagami(channel.direct_fading, rng, shape)
+        s_n = sim_oracle._element_sums(channel.ris_params(1), [16], rng, shape)[16]
+        snrs = sim_oracle._family_snrs(family, batch_rng(46, 0), shape)
+        for link, snr in zip(family, snrs):
+            budget = link.budget
+            amp = budget.amp_direct * w + budget.amp_ris * s_n
+            assert np.array_equal(snr, budget.gamma_bar_c * amp * amp)
+            [alone] = sim_oracle._family_snrs([link], batch_rng(46, 0), shape)
+            assert np.array_equal(snr, alone)
+
+    @pytest.mark.parametrize("field", ["direct", "hops"])
+    def test_links_with_other_fading_are_no_family(self, field):
+        channel = self._channel()
+        if field == "direct":
+            other = replace(channel, direct_fading=NakagamiParams(m=2.5, omega=1.0))
+        else:
+            other = replace(channel, hop_r2a=NakagamiParams(m=3.0, omega=1.0))
+        with pytest.raises(ValueError, match="share direct fading and RIS hops"):
+            mc_snr_cdf([channel.link("composite", 16), other.link("composite", 16)],
+                       [[1.0], [1.0]], McConfig(trials=10, seed=0))
 
     def test_one_grid_per_member(self):
         link = self._channel().link("direct", 0)
