@@ -14,7 +14,6 @@ from .channels import (
     composite_snr_cdf_closed,
     composite_snr_cdf_quadrature,
     direct_snr_cdf,
-    direct_snr_pdf,
     double_nakagami_moment,
     double_nakagami_pdf,
     fit_laguerre,
@@ -35,12 +34,12 @@ from .environment import (
     path_loss_amplitude,
     path_loss_exponent,
     select_best_ris,
+    transmit_snr,
 )
 from .noma import (
     InfeasibleAllocationError,
     OutageModel,
     PowerAllocation,
-    achievable_rate,
     decode_rate,
     ordered_cdf,
     sic_thresholds,

@@ -49,7 +49,6 @@ __all__ = [
     "ris_snr_cdf",
     "ris_snr_cdf_q_approx",
     "direct_snr_cdf",
-    "direct_snr_pdf",
     "composite_snr_cdf_quadrature",
     "composite_snr_cdf_closed",
     "resolve_links",
@@ -109,25 +108,27 @@ class LaguerreFit:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Average SNRs of one BS->UAV link.
+    """Link budget of one BS->UAV link: the transmit SNR gamma_bar_c = P_t / P_N
+    and the path-loss amplitudes ghat_d (direct) and ghat_r (cascaded through
+    the RIS).  Each average SNR is gamma_bar_c times a squared amplitude."""
 
-    gamma_bar_r = P_t |ghat_r|^2 / P_N, gamma_bar_d = P_t |ghat_d|^2 / P_N,
-    gamma_bar_c = P_t / P_N; amp_direct is ghat_d.
-    """
-
-    gamma_bar_r: float
-    gamma_bar_d: float
     gamma_bar_c: float
     amp_direct: float
+    amp_ris: float
 
     def __post_init__(self):
-        if min(self.gamma_bar_r, self.gamma_bar_d, self.gamma_bar_c, self.amp_direct) < 0:
-            raise ValueError("link budget entries must be nonnegative")
+        if not self.gamma_bar_c > 0:
+            raise ValueError("gamma_bar_c must be positive")
+        if min(self.amp_direct, self.amp_ris) < 0:
+            raise ValueError("path-loss amplitudes must be nonnegative")
 
     @property
-    def amp_ris(self) -> float:
-        """Cascaded path-loss amplitude ghat_r recovered from the SNR ratios."""
-        return math.sqrt(self.gamma_bar_r / self.gamma_bar_c)
+    def gamma_bar_d(self) -> float:
+        return self.gamma_bar_c * self.amp_direct**2
+
+    @property
+    def gamma_bar_r(self) -> float:
+        return self.gamma_bar_c * self.amp_ris**2
 
 
 def double_nakagami_pdf(p1: NakagamiParams, p2: NakagamiParams, x):
@@ -211,23 +212,6 @@ def direct_snr_cdf(p: NakagamiParams, gamma_bar_d: float, gamma):
         raise ValueError("gamma_bar_d must be positive")
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     return reg_lower_inc_gamma(p.m, p.m * gamma / (p.omega * gamma_bar_d))
-
-
-def direct_snr_pdf(p: NakagamiParams, gamma_bar_d: float, gamma):
-    """Density of the direct-link SNR (gamma distribution in the SNR domain)."""
-    if gamma_bar_d <= 0:
-        raise ValueError("gamma_bar_d must be positive")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma <= 0.0):
-        raise ValueError("gamma must be positive")
-    m, om = p.m, p.omega
-    out = (
-        m**m
-        * (gamma / gamma_bar_d) ** (m - 1.0)
-        * np.exp(-m * gamma / (om * gamma_bar_d))
-        / (gamma_bar_d * om**m * gamma_fn(m))
-    )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _direct_amp_pdf(p: NakagamiParams, amp_direct: float, x):
@@ -412,30 +396,20 @@ class LinkChannel:
     hop_g2r: NakagamiParams
     hop_r2a: NakagamiParams
     amp_direct: float
-    amp_g2r: float
-    amp_r2a: float
+    amp_ris: float
     gamma_bar_c: float
     max_ris_elements: int
 
     @property
-    def amp_ris(self) -> float:
-        return self.amp_g2r * self.amp_r2a
-
-    @property
     def gamma_bar_d(self) -> float:
-        return self.gamma_bar_c * self.amp_direct**2
+        return self.budget().gamma_bar_d
 
     @property
     def gamma_bar_r(self) -> float:
-        return self.gamma_bar_c * self.amp_ris**2
+        return self.budget().gamma_bar_r
 
     def budget(self) -> LinkBudget:
-        return LinkBudget(
-            gamma_bar_r=self.gamma_bar_r,
-            gamma_bar_d=self.gamma_bar_d,
-            gamma_bar_c=self.gamma_bar_c,
-            amp_direct=self.amp_direct,
-        )
+        return LinkBudget(self.gamma_bar_c, self.amp_direct, self.amp_ris)
 
     def ris_params(self, n_elements: int) -> RisLinkParams:
         return RisLinkParams(hop_g2r=self.hop_g2r, hop_r2a=self.hop_r2a, n_elements=n_elements)
@@ -479,8 +453,9 @@ def resolve_links(
     omega/m overrides let experiments pin them instead.  Each UAV is served
     through its best RIS.
     """
-    p_n = env_mod.noise_power_w(scenario.bandwidth_hz, scenario.noise_temp_k)
-    gamma_bar_c = env_mod.dbm_to_watt(scenario.tx_power_dbm) / p_n
+    gamma_bar_c = env_mod.transmit_snr(
+        scenario.tx_power_dbm, scenario.bandwidth_hz, scenario.noise_temp_k
+    )
     links = []
     for i, uav in enumerate(scenario.uavs):
         k = env_mod.select_best_ris(env, scenario, i)
@@ -499,8 +474,8 @@ def resolve_links(
                 hop_g2r=NakagamiParams(m=shape(scenario.bs, ris_pos, m_hops), omega=omega),
                 hop_r2a=NakagamiParams(m=shape(ris_pos, uav, m_hops), omega=omega),
                 amp_direct=env_mod.path_loss_amplitude(env, scenario.bs, uav),
-                amp_g2r=env_mod.path_loss_amplitude(env, scenario.bs, ris_pos),
-                amp_r2a=env_mod.path_loss_amplitude(env, ris_pos, uav),
+                amp_ris=env_mod.path_loss_amplitude(env, scenario.bs, ris_pos)
+                * env_mod.path_loss_amplitude(env, ris_pos, uav),
                 gamma_bar_c=gamma_bar_c,
                 max_ris_elements=scenario.riss[k].max_elements,
             )

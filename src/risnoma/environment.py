@@ -27,6 +27,7 @@ __all__ = [
     "path_loss_amplitude",
     "noise_power_w",
     "dbm_to_watt",
+    "transmit_snr",
     "generate_scenario",
     "select_best_ris",
 ]
@@ -210,6 +211,11 @@ def noise_power_w(bandwidth_hz: float, temp_k: float) -> float:
 
 def dbm_to_watt(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
+
+
+def transmit_snr(tx_power_dbm: float, bandwidth_hz: float, temp_k: float) -> float:
+    """Transmit SNR gamma_bar_c = P_t / P_N, linear, of a P_t in dBm over thermal noise."""
+    return dbm_to_watt(tx_power_dbm) / noise_power_w(bandwidth_hz, temp_k)
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:

@@ -2,8 +2,9 @@
 
 Every runner writes schema-stable CSV plus a JSON run manifest into the
 output directory; reruns with identical config and seed are byte-identical.
-dBm-to-watt conversion happens at the config boundary (inside resolve_links,
-and for the sweep-power grid); everything downstream works in linear units.
+Transmit power in dBm becomes the linear transmit SNR P_t / P_N at the config
+boundary (environment.transmit_snr, inside resolve_links and for the
+sweep-power grid); everything downstream works in linear units.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ import yaml
 
 from . import __version__
 from .channels import LINK_KINDS, Link, composite_snr_cdf_quadrature, resolve_links
-from .environment import (
-    EnvironmentParams,
-    ScenarioConfig,
-    dbm_to_watt,
-    generate_scenario,
-    noise_power_w,
-)
+from .environment import EnvironmentParams, ScenarioConfig, generate_scenario, transmit_snr
 from .noma import OutageModel, PowerAllocation, _sic_margins, ordered_cdf
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
 from .sim_oracle import McConfig, mc_noma_outage, mc_snr_cdf
@@ -76,8 +71,12 @@ class ConfigError(ValueError):
     """A configuration file failed schema validation."""
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return _is_real(value) and math.isfinite(value)
 
 
 def _check_rate(key: str, rate):
@@ -234,6 +233,29 @@ _BLOCK_TYPES = {
 }
 
 
+def _check_type(key: str, default, value):
+    """Raise ConfigError unless value can fill the field key with this default.
+
+    An int default needs an integer, a float default a real number, a None
+    default None or a real number, and a default tuple of numbers, given a
+    list, numbers as its entries.  Bools are none of these; nothing is converted.
+    """
+    if isinstance(default, bool) or default is None and value is None:
+        return
+    if isinstance(default, int):
+        ok, wanted = _is_real(value) and isinstance(value, numbers.Integral), "an integer"
+    elif isinstance(default, float) or default is None:
+        ok, wanted = _is_real(value), "a number"
+    elif isinstance(default, tuple) and isinstance(value, list) and all(map(_is_real, default)):
+        ok, wanted = all(map(_is_real, value)), "a list of numbers"
+    else:
+        return
+    if not ok:
+        # PyYAML takes an exponent for a number only after a dot and a sign
+        raise ConfigError(f"{key} must be {wanted}, got {value!r}; YAML reads 1e-3 or 4.0e7 "
+                          "as text, so write 1.0e-3 or 4.0e+7")
+
+
 def _build_block(cls, name, data):
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
@@ -242,6 +264,7 @@ def _build_block(cls, name, data):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key {name}.{key}")
+        _check_type(f"{name}.{key}", known[key].default, value)
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -267,8 +290,7 @@ def load_config(path) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
-            if not isinstance(value, int):
-                raise ConfigError("seed must be an integer")
+            _check_type("seed", 0, value)
             kwargs["seed"] = value
         elif key in _BLOCK_TYPES:
             kwargs[key] = _build_block(_BLOCK_TYPES[key], key, value)
@@ -427,13 +449,12 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
     """
     _require_sweep_variable(cfg, variable)
     drop = _resolved_links(cfg, seed)
-    noise_w = noise_power_w(cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
     n_val = int(cfg.sweep.fixed_n_elements)
     points, analytic = [], []
     for value in cfg.sweep.grid:
         links, rate = drop, cfg.sweep.fixed_target_rate
         if variable == "tx_power_dbm":
-            gamma_bar_c = dbm_to_watt(float(value)) / noise_w
+            gamma_bar_c = transmit_snr(value, cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
             links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in drop]
         else:
             rate = float(value)

@@ -19,7 +19,6 @@ from .special_math import _checked, binomial
 __all__ = [
     "InfeasibleAllocationError",
     "PowerAllocation",
-    "achievable_rate",
     "decode_rate",
     "sic_thresholds",
     "ordered_cdf",
@@ -63,13 +62,9 @@ class PowerAllocation:
         return math.fsum(self.beta[j:])
 
 
-def achievable_rate(gamma_m, alloc: PowerAllocation, m: int):
-    """Rate of rank m after SIC: log2(1 + g b_m / (g sum_{i>m} b_i + 1))."""
-    return decode_rate(gamma_m, alloc, m, m)
-
-
 def decode_rate(gamma_m, alloc: PowerAllocation, m: int, j: int):
-    """Rate at which rank m decodes rank j's signal (j <= m), at scalar or array SNR."""
+    """Rate at which rank m decodes rank j's signal (j <= m), at scalar or array SNR:
+    log2(1 + g b_j / (g sum_{i>j} b_i + 1)); j = m is rank m's own rate after SIC."""
     if not 1 <= j <= m <= alloc.m_users:
         raise ValueError(f"require 1 <= j <= m <= M, got j={j}, m={m}")
     gamma_m = _checked(gamma_m, lambda g: g < 0.0, "SNR must be nonnegative")

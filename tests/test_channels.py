@@ -4,6 +4,7 @@ Monte Carlo oracles here use moderate trial counts for speed; the full
 1e6-trial comparisons at the stated tolerances run in test_acceptance.py.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from risnoma.channels import (
     composite_snr_cdf_closed,
     composite_snr_cdf_quadrature,
     direct_snr_cdf,
-    direct_snr_pdf,
     double_nakagami_moment,
     double_nakagami_pdf,
     fit_laguerre,
@@ -30,7 +30,13 @@ from risnoma.channels import (
     ris_snr_cdf,
     ris_snr_cdf_q_approx,
 )
-from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
+from risnoma.environment import (
+    EnvironmentParams,
+    ScenarioConfig,
+    generate_scenario,
+    path_loss_amplitude,
+    transmit_snr,
+)
 from risnoma.sim_oracle import batch_rng, sample_nakagami, sample_ris_sum
 from risnoma.special_math import q_function
 
@@ -212,18 +218,6 @@ class TestDirectSnrCdf:
         emp = np.searchsorted(np.sort(snr), grid, side="right") / snr.size
         assert np.max(np.abs(direct_snr_cdf(p, gbar, grid) - emp)) <= 0.005
 
-    def test_pdf_normalization(self):
-        p = NakagamiParams(m=2.5, omega=1.0)
-        val, _ = integrate.quad(lambda g: direct_snr_pdf(p, 10.0, g), 0, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_pdf_matches_cdf_derivative(self):
-        p = NakagamiParams(m=3.0, omega=1.0)
-        h = 1e-5
-        for g in (2.0, 8.0, 15.0):
-            num = (direct_snr_cdf(p, 10.0, g + h) - direct_snr_cdf(p, 10.0, g - h)) / (2 * h)
-            assert num == pytest.approx(direct_snr_pdf(p, 10.0, g), abs=1e-6)
-
     def test_pdf_mode(self):
         # gamma-distribution mode (m-1)/m * Omega * gamma_bar vs sampled argmax
         p = NakagamiParams(m=3.0, omega=1.0)
@@ -247,7 +241,7 @@ def _forms(v):
 FORM_IDS = ("float", "int", "float64", "0d", "1d")
 # gamma_bar_c = 1 and ghat_r = 0.1: the knee of the composite reference at
 # gamma = 2 sits at sqrt(2) - 0.1 * E[S] = 0.003.
-UNIT_BUDGET = LinkBudget(gamma_bar_r=0.01, gamma_bar_d=1.0, gamma_bar_c=1.0, amp_direct=1.0)
+UNIT_BUDGET = LinkBudget(gamma_bar_c=1.0, amp_direct=1.0, amp_ris=0.1)
 SNR_CDFS = {
     "direct": lambda g: direct_snr_cdf(M2, 5.0, g),
     "ris": lambda g: ris_snr_cdf(fit_laguerre(_ris(16, m=2.0)), 10.0, g),
@@ -292,7 +286,7 @@ def _mp_composite_cdf(fit, direct, budget, gamma):
     """
     with mpmath.workdps(30):
         big_t = mpmath.sqrt(mpmath.mpf(gamma) / budget.gamma_bar_c)
-        amp_r = mpmath.sqrt(mpmath.mpf(budget.gamma_bar_r) / budget.gamma_bar_c)
+        amp_r = mpmath.mpf(budget.amp_ris)
         a, b = mpmath.mpf(fit.a), mpmath.mpf(fit.b)
         m = mpmath.mpf(direct.m)
         lam = m / (direct.omega * mpmath.mpf(budget.amp_direct) ** 2)
@@ -314,6 +308,7 @@ def _mp_composite_cdf(fit, direct, budget, gamma):
 
 VALIDATE_YAML = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "validate.yaml"
 SWEEP_LINKS_YAML = VALIDATE_YAML.with_name("sweep-links.yaml")
+SWEEP_POWER_YAML = VALIDATE_YAML.with_name("sweep-power.yaml")
 
 
 def _strongest_ris_link(config_path, drop):
@@ -483,10 +478,33 @@ class TestLinkResolution:
         assert link.rounded_direct().m == 2.0
 
     def test_budget_consistency(self):
-        link = _table_i_link()
+        env = EnvironmentParams()
+        scen = generate_scenario(ScenarioConfig(), 7)
+        link = resolve_links(env, scen, m_direct=1.5, m_hops=2.0)[0]
+        ris = scen.riss[link.ris].position
         b = link.budget()
-        assert b.gamma_bar_d == pytest.approx(b.gamma_bar_c * b.amp_direct**2, rel=1e-12)
-        assert b.amp_ris == pytest.approx(link.amp_ris, rel=1e-12)
+        assert b == LinkBudget(link.gamma_bar_c, link.amp_direct, link.amp_ris)
+        assert (link.gamma_bar_d, link.gamma_bar_r) == (b.gamma_bar_d, b.gamma_bar_r)
+        assert b.amp_direct == path_loss_amplitude(env, scen.bs, scen.uavs[0])
+        assert b.amp_ris == (path_loss_amplitude(env, scen.bs, ris)
+                             * path_loss_amplitude(env, ris, scen.uavs[0]))
+
+    def test_power_point_changes_only_gamma_bar_c(self):
+        # a sweep-power point sets gamma_bar_c of the drop's links; both
+        # path-loss amplitudes of every budget stay the drop's, bit for bit
+        cfg = expcli.load_config(SWEEP_POWER_YAML)
+        moved = []
+        for drop in range(200):
+            for link in expcli._resolved_links(cfg, drop):
+                base = link.budget()
+                for power in cfg.sweep.grid:
+                    gamma_bar_c = transmit_snr(power, cfg.scenario.bandwidth_hz,
+                                               cfg.scenario.noise_temp_k)
+                    b = dataclasses.replace(link, gamma_bar_c=gamma_bar_c).budget()
+                    if (b.gamma_bar_c, b.amp_direct, b.amp_ris) != (
+                            gamma_bar_c, base.amp_direct, base.amp_ris):
+                        moved.append((drop, link.uav, power))
+        assert not moved, f"{len(moved)} budgets moved, first {moved[:3]}"
 
     def test_shape_defaults_from_los(self):
         env = EnvironmentParams()
@@ -494,3 +512,21 @@ class TestLinkResolution:
         links = resolve_links(env, scen)
         for link in links:
             assert link.direct_fading.m >= 4.0 / 3.0 - 1e-9
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize("gamma_bar_c, amp_direct, amp_ris", [
+        (1.0, 1.0, 0.1), (2.1e12, 3.3e-7, 1.7e-9), (7.3, 0.0, 0.4), (5e-3, 0.9, 0.0),
+    ])
+    def test_snrs_from_amplitudes(self, gamma_bar_c, amp_direct, amp_ris):
+        b = LinkBudget(gamma_bar_c, amp_direct, amp_ris)
+        assert b.gamma_bar_d == gamma_bar_c * amp_direct**2
+        assert b.gamma_bar_r == gamma_bar_c * amp_ris**2
+
+    @pytest.mark.parametrize("gamma_bar_c, amp_direct, amp_ris", [
+        (0.0, 1.0, 0.1), (-1.0, 1.0, 0.1), (math.nan, 1.0, 0.1), (1.0, -1e-9, 0.1),
+        (1.0, 1.0, -0.1),
+    ], ids=["zero_snr", "negative_snr", "nan_snr", "negative_direct", "negative_ris"])
+    def test_rejects(self, gamma_bar_c, amp_direct, amp_ris):
+        with pytest.raises(ValueError):
+            LinkBudget(gamma_bar_c, amp_direct, amp_ris)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from risnoma import expcli, sim_oracle
 from risnoma.expcli import (
@@ -94,6 +95,17 @@ class TestLoadConfig:
         p = _write(tmp_path, "validation:\n  outage_abs_tol: 0.0\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_readme_example_names_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(_write(tmp_path, block))
+        data = yaml.safe_load(block)
+        assert set(data) == {f.name for f in dataclasses.fields(cfg)}
+        for section, keys in data.items():
+            if section != "seed":
+                fields = dataclasses.fields(getattr(cfg, section))
+                assert set(keys) == {f.name for f in fields}, section
 
 
 @pytest.fixture(scope="module")
@@ -220,16 +232,16 @@ class TestScalarSweepsShareOneDrop:
 # reproduce them bit for bit.
 GOLDEN_SCALAR_SWEEP = {
     ("sweep-power", 0): (
-        "0x1.447e0353774f4p-128", "0x1.c46af74a2a90ap-246", "0x1.8f136a16d0dd8p-565",
+        "0x1.447e0353774f4p-128", "0x1.c46af74a0a18cp-246", "0x1.8f136a16d0dd8p-565",
         "0x1.447337d9948d2p-132", "0x1.d37c00fb5b5b8p-260", "0x1.5cabcba2ab17ap-586",
         "0x1.a496ab183c2dep-136", "0x1.0994513e4617cp-272", "0x1.1d8db2ff1374fp-605",
-        "0x1.5a8e055264e68p-139", "0x1.41740f6551de5p-284", "0x1.91d4df5163758p-623",
+        "0x1.5a8e055264e68p-139", "0x1.41740f6566651p-284", "0x1.91d4df5163758p-623",
         "0x1.64155e5fa6dfap-142", "0x1.8e84e48e54321p-295", "0x1.bc57dc5a2c6e1p-639",
         "0x1.bfd7b7a18102ep-145", "0x1.e45b8868d4c4cp-305", "0x1.6151deaf5e7f9p-653",
         "0x1.52aa7278e8e28p-147", "0x1.1394204e64fa5p-313", "0x1.728fd180cec0bp-666",
         "0x1.2edc73f6f3b39p-149", "0x1.1839f856ccebbp-321", "0x1.d7ddc5c5c2115p-678",
         "0x1.3b430bdd51343p-151", "0x1.e666af811be32p-329", "0x1.513c30ef0da63p-688",
-        "0x1.784e87d4cd4d9p-153", "0x1.589a5cff3de68p-335", "0x1.f68f8d65eecaap-698",
+        "0x1.784e87d4cd4d9p-153", "0x1.589a5cff8407ap-335", "0x1.f68f8d65eecaap-698",
         "0x1.fbbaf5833ba5ep-155", "0x1.7e087c916d712p-341", "0x1.6c6b740fa5a36p-706",
     ),
     ("sweep-power", 1): (
@@ -246,14 +258,14 @@ GOLDEN_SCALAR_SWEEP = {
         "0x1.dc20679f0b870p-18", "0x1.a0fbd7e0fe86ep-22", "0x1.93734daefa58ep-51",
     ),
     ("sweep-power", 2): (
-        "0x1.1b0c4510aaeecp-10", "0x1.48c230ef7fe42p-12", "0x1.c7cd1ef7c6ecap-5",
+        "0x1.1b0c4510aaee9p-10", "0x1.48c230ef7fe42p-12", "0x1.c7cd1ef7c6ecap-5",
         "0x1.662a093e8ff74p-11", "0x1.4a310cd3e75a0p-13", "0x1.b4149c005bda2p-6",
         "0x1.bc90b7656132ep-12", "0x1.49d609d1e721ep-14", "0x1.8a47f8f31296cp-7",
         "0x1.0d850d06137d6p-12", "0x1.47e0c95ca7e8bp-15", "0x1.542b4c54eb391p-8",
         "0x1.3d7b211f27836p-13", "0x1.44756265994b6p-16", "0x1.1a691f0399ceep-9",
         "0x1.689d1947bb1cap-14", "0x1.3fae09708e730p-17", "0x1.c67330fa558a6p-11",
         "0x1.86de63ea34b8dp-15", "0x1.399cd4af0e066p-18", "0x1.6479185b59e17p-12",
-        "0x1.8e391a62c5bdcp-16", "0x1.324d7bdacbd5cp-19", "0x1.11f072fc68957p-13",
+        "0x1.8e391a62c5be2p-16", "0x1.324d7bdacbd5cp-19", "0x1.11f072fc68957p-13",
         "0x1.74c4a8443d92cp-17", "0x1.29c70884dadc8p-20", "0x1.9e1f936d95afep-15",
         "0x1.3545256aea224p-18", "0x1.200d777e6c4b5p-21", "0x1.34e24b2035c31p-16",
         "0x1.acaad77b80e0cp-20", "0x1.1523520effae1p-22", "0x1.c7deb8806d840p-18",
@@ -281,14 +293,14 @@ GOLDEN_SCALAR_SWEEP = {
         "0x1.036e73a23566ap-12", "0x1.8da6a933211d7p-16", "0x1.6ce03c8e8e592p-37",
     ),
     ("sweep-rate", 2): (
-        "0x1.235e0c1a83444p-18", "0x1.0cea01970d7e6p-21", "0x1.277fcb9492081p-16",
-        "0x1.1f525b9ac2540p-17", "0x1.d304f46afa8eep-21", "0x1.34119024d7734p-15",
-        "0x1.f3423570c32d2p-17", "0x1.81a9a00fce2c0p-20", "0x1.2ae7490289d54p-14",
-        "0x1.8e391a62c5bdcp-16", "0x1.324d7bdacbd5cp-19", "0x1.11f072fc68957p-13",
-        "0x1.2ad1605ef34d7p-15", "0x1.d7b3a2a27f8d6p-19", "0x1.df500a3811c56p-13",
-        "0x1.ac7e5f8419931p-15", "0x1.6234aa3dc6d59p-18", "0x1.9361298403880p-12",
-        "0x1.28a14d993033ap-14", "0x1.048c1e16c6f45p-17", "0x1.487694444d782p-11",
-        "0x1.8f734704e2614p-14", "0x1.78cac15b17582p-17", "0x1.03f00556bd17fp-10",
+        "0x1.235e0c1a83446p-18", "0x1.0cea01970d7e6p-21", "0x1.277fcb9492081p-16",
+        "0x1.1f525b9ac253ep-17", "0x1.d304f46afa8eep-21", "0x1.34119024d7734p-15",
+        "0x1.f3423570c32c4p-17", "0x1.81a9a00fce2c0p-20", "0x1.2ae7490289d54p-14",
+        "0x1.8e391a62c5be2p-16", "0x1.324d7bdacbd5cp-19", "0x1.11f072fc68957p-13",
+        "0x1.2ad1605ef34dep-15", "0x1.d7b3a2a27f8d6p-19", "0x1.df500a3811c56p-13",
+        "0x1.ac7e5f8419937p-15", "0x1.6234aa3dc6d59p-18", "0x1.9361298403880p-12",
+        "0x1.28a14d993033cp-14", "0x1.048c1e16c6f45p-17", "0x1.487694444d782p-11",
+        "0x1.8f734704e260ap-14", "0x1.78cac15b17582p-17", "0x1.03f00556bd17fp-10",
         "0x1.06fdea3fa1491p-13", "0x1.0c8f92c41759fp-16", "0x1.913bc8010d94ap-10",
     ),
 }
@@ -463,6 +475,26 @@ class TestCliErrors:
     def test_sweep_links_variable_mismatch(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))
         assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text, key", [
+        ("scenario:\n  tx_power_dbm: 3.7e1\n", "scenario.tx_power_dbm"),
+        ("environment:\n  zeta: 2.0e1\n", "environment.zeta"),
+        ("scenario:\n  bandwidth_hz: 4.0e7\n", "scenario.bandwidth_hz"),
+        ("mc:\n  trials: 1e-3\n", "mc.trials"),
+        ("scenario:\n  n_uavs: 3.0\n", "scenario.n_uavs"),
+        ("ruom:\n  max_iter: true\n", "ruom.max_iter"),
+        ("channel:\n  m_direct: 1e-3\n", "channel.m_direct"),
+        ("scenario:\n  uav_altitude_m: [1e-3, 120.0]\n", "scenario.uav_altitude_m"),
+        ("ruom:\n  lambdas: [1e-3]\n", "ruom.lambdas"),
+        ("seed: 1e-3\n", "seed"),
+    ], ids=["float_text", "float_text_env", "float_no_sign", "int_text", "int_float", "int_bool",
+            "none_default_text", "tuple_entry_text", "lambda_text", "seed_text"])
+    def test_number_read_as_text(self, tmp_path, capsys, text, key):
+        # PyYAML reads 1e-3, 3.7e1 and 4.0e7 as text; the boundary names the key
+        cfg = _write(tmp_path, text)
+        assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "4.0e+7" in err
 
 
 class TestMcCalls:

@@ -11,7 +11,6 @@ from risnoma.noma import (
     InfeasibleAllocationError,
     OutageModel,
     PowerAllocation,
-    achievable_rate,
     decode_rate,
     ordered_cdf,
     sic_thresholds,
@@ -49,22 +48,21 @@ class TestPowerAllocation:
 
 class TestRates:
     def test_zero_snr(self):
-        assert achievable_rate(0.0, ALLOC2, 1) == 0.0
+        assert decode_rate(0.0, ALLOC2, 1, 1) == 0.0
 
     def test_single_user_log2(self):
         a = PowerAllocation((1.0,))
-        assert achievable_rate(3.0, a, 1) == pytest.approx(2.0, rel=1e-12)
+        assert decode_rate(3.0, a, 1, 1) == pytest.approx(2.0, rel=1e-12)
 
     def test_two_user_arithmetic_oracle(self):
         # gamma=10, beta=(0.8,0.2): log2(1 + 8/3)
         expected = math.log2(1 + 8.0 / 3.0)
-        assert achievable_rate(10.0, ALLOC2, 1) == pytest.approx(expected, rel=1e-12)
+        assert decode_rate(10.0, ALLOC2, 1, 1) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.8745, abs=1e-4)
 
     def test_decode_rate_definition(self):
-        assert decode_rate(10.0, ALLOC2, 2, 2) == pytest.approx(
-            achievable_rate(10.0, ALLOC2, 2), rel=1e-12
-        )
+        # rank 2's own rate sees no interference: log2(1 + 10 * 0.2)
+        assert decode_rate(10.0, ALLOC2, 2, 2) == pytest.approx(math.log2(3.0), rel=1e-12)
         # rank 2 decoding rank 1 sees the same SINR expression as rank 1
         assert decode_rate(10.0, ALLOC2, 2, 1) == pytest.approx(
             math.log2(1 + 8.0 / 3.0), rel=1e-12
@@ -204,7 +202,7 @@ def _direct_model(gamma_bar_d, m_users=1):
     rayleigh = NakagamiParams(m=1.0, omega=1.0)
     links = [
         LinkChannel(uav=u, ris=0, direct_fading=rayleigh, hop_g2r=rayleigh, hop_r2a=rayleigh,
-                    amp_direct=1.0, amp_g2r=1.0, amp_r2a=1.0, gamma_bar_c=gamma_bar_d,
+                    amp_direct=1.0, amp_ris=1.0, gamma_bar_c=gamma_bar_d,
                     max_ris_elements=64)
         for u in range(m_users)
     ]

@@ -87,8 +87,7 @@ def _links(m_direct=1.0):
 
 class TestMcSnrCdf:
     def _budget(self):
-        return LinkBudget(gamma_bar_r=2.0, gamma_bar_d=10.0, gamma_bar_c=20.0,
-                          amp_direct=math.sqrt(0.5))
+        return LinkBudget(gamma_bar_c=20.0, amp_direct=math.sqrt(0.5), amp_ris=math.sqrt(0.1))
 
     def _direct(self, p):
         return Link(p, None, self._budget())
@@ -181,16 +180,14 @@ class TestMcNomaOutage:
 
     def test_single_user_rayleigh_oracle(self):
         p = NakagamiParams(m=1.0, omega=1.0)
-        budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=10.0, gamma_bar_c=20.0,
-                            amp_direct=math.sqrt(0.5))
+        budget = LinkBudget(gamma_bar_c=20.0, amp_direct=math.sqrt(0.5), amp_ris=0.0)
         [[est]] = mc_noma_outage([([Link(p, None, budget)], PowerAllocation((1.0,)), (1.0,))],
                                  McConfig(trials=400_000, seed=31))
         assert est.value == pytest.approx(1 - math.exp(-0.1), abs=0.005)
 
     def test_high_power_outage_vanishes(self):
         p = NakagamiParams(m=1.0, omega=1.0)
-        budget = LinkBudget(gamma_bar_r=0.0, gamma_bar_d=1e9, gamma_bar_c=2e9,
-                            amp_direct=math.sqrt(0.5))
+        budget = LinkBudget(gamma_bar_c=2e9, amp_direct=math.sqrt(0.5), amp_ris=0.0)
         [[est]] = mc_noma_outage([([Link(p, None, budget)], PowerAllocation((1.0,)), (1.0,))],
                                  McConfig(trials=100_000, seed=32))
         assert est.value == 0.0

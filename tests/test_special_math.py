@@ -25,6 +25,8 @@ from risnoma.special_math import (
 
 # frozen arbitrary-precision oracle values
 GAMMA_1_5 = 0.8862269254527580  # sqrt(pi)/2
+GAMMA_2_5 = 1.5 * GAMMA_1_5
+GAMMA_3_5 = 2.5 * GAMMA_2_5
 LOWER_2_5_3_0 = 0.9222712123078340  # int_0^3 t^1.5 e^-t dt
 UPPER_3_5_2_0 = 2.5914740071910742  # int_2^inf t^2.5 e^-t dt
 K_HALF_1 = 0.4610685044478946  # sqrt(pi/2) e^-1
@@ -64,6 +66,11 @@ class TestIncompleteGamma:
     def test_frozen_oracles(self):
         assert lower_inc_gamma(2.5, 3.0) == pytest.approx(LOWER_2_5_3_0, rel=1e-10)
         assert upper_inc_gamma(3.5, 2.0) == pytest.approx(UPPER_3_5_2_0, rel=1e-10)
+        # the same oracles through the two kernels the closed forms call
+        assert upper_inc_gamma(2.5, 3.0) == pytest.approx(GAMMA_2_5 - LOWER_2_5_3_0, rel=1e-10)
+        assert reg_lower_inc_gamma(2.5, 3.0) == pytest.approx(LOWER_2_5_3_0 / GAMMA_2_5, rel=1e-10)
+        assert reg_lower_inc_gamma(3.5, 2.0) == pytest.approx(1 - UPPER_3_5_2_0 / GAMMA_3_5,
+                                                              rel=1e-10)
 
     def test_quadrature_oracle(self):
         for s, x in ((2.5, 3.0), (1.2, 0.4), (4.0, 7.5)):
