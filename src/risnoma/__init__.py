@@ -33,7 +33,6 @@ from .environment import (
     noise_power_w,
     path_loss_amplitude,
     path_loss_exponent,
-    select_best_ris,
     transmit_snr,
 )
 from .noma import (

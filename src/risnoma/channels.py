@@ -449,33 +449,37 @@ def resolve_links(
 ) -> list:
     """Derive every UAV's LinkChannel from scenario geometry.
 
-    Fading shapes default to the LoS-probability fit per endpoint pair;
-    omega/m overrides let experiments pin them instead.  Each UAV is served
-    through its best RIS.
+    Each endpoint pair (BS->RIS, RIS->UAV, BS->UAV) is evaluated once: its
+    one LoS probability gives its path-loss amplitude and, unless m_direct or
+    m_hops pins it, its Nakagami shape.  Each UAV is served through the RIS
+    with the largest cascaded amplitude, the lowest index on ties.
     """
     gamma_bar_c = env_mod.transmit_snr(
         scenario.tx_power_dbm, scenario.bandwidth_hz, scenario.noise_temp_k
     )
+
+    def pair(a, b, pinned_m):
+        p_los = env_mod.los_probability(env, a, b)
+        m = env_mod.nakagami_shape(p_los) if pinned_m is None else float(pinned_m)
+        return NakagamiParams(m=m, omega=omega), env_mod.path_loss_amplitude(env, a, b, p_los)
+
+    sites = range(scenario.n_ris)
+    g2r = [pair(scenario.bs, site.position, m_hops) for site in scenario.riss]
     links = []
     for i, uav in enumerate(scenario.uavs):
-        k = env_mod.select_best_ris(env, scenario, i)
-        ris_pos = scenario.riss[k].position
-
-        def shape(a, b, override):
-            if override is not None:
-                return float(override)
-            return env_mod.nakagami_shape(env_mod.los_probability(env, a, b))
-
+        r2a = [pair(site.position, uav, m_hops) for site in scenario.riss]
+        amp_ris = [g2r[k][1] * r2a[k][1] for k in sites]
+        k = max(sites, key=amp_ris.__getitem__)
+        direct_fading, amp_direct = pair(scenario.bs, uav, m_direct)
         links.append(
             LinkChannel(
                 uav=i,
                 ris=k,
-                direct_fading=NakagamiParams(m=shape(scenario.bs, uav, m_direct), omega=omega),
-                hop_g2r=NakagamiParams(m=shape(scenario.bs, ris_pos, m_hops), omega=omega),
-                hop_r2a=NakagamiParams(m=shape(ris_pos, uav, m_hops), omega=omega),
-                amp_direct=env_mod.path_loss_amplitude(env, scenario.bs, uav),
-                amp_ris=env_mod.path_loss_amplitude(env, scenario.bs, ris_pos)
-                * env_mod.path_loss_amplitude(env, ris_pos, uav),
+                direct_fading=direct_fading,
+                hop_g2r=g2r[k][0],
+                hop_r2a=r2a[k][0],
+                amp_direct=amp_direct,
+                amp_ris=amp_ris[k],
                 gamma_bar_c=gamma_bar_c,
                 max_ris_elements=scenario.riss[k].max_elements,
             )

@@ -29,7 +29,6 @@ __all__ = [
     "dbm_to_watt",
     "transmit_snr",
     "generate_scenario",
-    "select_best_ris",
 ]
 
 BOLTZMANN = 1.380649e-23  # J/K
@@ -193,12 +192,15 @@ def nakagami_shape(p_los: float) -> float:
     return (e + 1.0) ** 2 / (2.0 * e + 1.0)
 
 
-def path_loss_amplitude(env: EnvironmentParams, a: Position3D, b: Position3D) -> float:
-    """Amplitude-domain path loss d^(-alpha(d)/2) with the distance-dependent PLE."""
+def path_loss_amplitude(
+    env: EnvironmentParams, a: Position3D, b: Position3D, p_los: float
+) -> float:
+    """Amplitude-domain path loss d^(-alpha/2), with the exponent alpha blended
+    by p_los, the pair's LoS probability (los_probability(env, a, b))."""
     d = a.distance(b)
     if d == 0.0:
         raise ValueError("path_loss_amplitude is undefined for coincident endpoints")
-    alpha = path_loss_exponent(env, los_probability(env, a, b))
+    alpha = path_loss_exponent(env, p_los)
     return d ** (-alpha / 2.0)
 
 
@@ -246,17 +248,3 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         cell_radius_m=config.cell_radius_m,
         seed=seed,
     )
-
-
-def select_best_ris(env: EnvironmentParams, scenario: Scenario, uav_index: int) -> int:
-    """Index of the RIS maximizing the cascaded mean path-loss amplitude
-    (BS->RIS times RIS->UAV); ties broken by lowest index."""
-    uav = scenario.uavs[uav_index]
-    best_k, best_gain = 0, -math.inf
-    for k, site in enumerate(scenario.riss):
-        gain = path_loss_amplitude(env, scenario.bs, site.position) * path_loss_amplitude(
-            env, site.position, uav
-        )
-        if gain > best_gain:
-            best_k, best_gain = k, gain
-    return best_k

@@ -84,6 +84,11 @@ def _check_rate(key: str, rate):
         raise ConfigError(f"{key}: target rate must be a finite number > 0 bpc, got {rate!r}")
 
 
+def _check_seed(key: str, seed: int):
+    if seed < 0:
+        raise ConfigError(f"{key} must be an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ChannelBlock:
     omega: float = 1.0
@@ -185,6 +190,7 @@ class McBlock:
     def __post_init__(self):
         if self.trials < 1 or self.batch < 1:
             raise ConfigError("mc.trials and mc.batch must be positive")
+        _check_seed("mc.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,9 @@ class ExperimentConfig:
     output: OutputBlock = field(default_factory=OutputBlock)
     seed: int = 0
 
+    def __post_init__(self):
+        _check_seed("seed", self.seed)
+
 
 _BLOCK_TYPES = {
     "scenario": ScenarioConfig,
@@ -236,11 +245,16 @@ _BLOCK_TYPES = {
 def _check_type(key: str, default, value):
     """Raise ConfigError unless value can fill the field key with this default.
 
-    An int default needs an integer, a float default a real number, a None
-    default None or a real number, and a default tuple of numbers, given a
-    list, numbers as its entries.  Bools are none of these; nothing is converted.
+    A bool default needs true or false, an int default an integer, a float
+    default a real number, a None default None or a real number, and a
+    default tuple of numbers, given a list, numbers as its entries.  Bools are
+    not numbers; nothing is converted.
     """
-    if isinstance(default, bool) or default is None and value is None:
+    if default is None and value is None:
+        return
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
         return
     if isinstance(default, int):
         ok, wanted = _is_real(value) and isinstance(value, numbers.Integral), "an integer"
@@ -612,6 +626,7 @@ def _add_common(parser):
 def _prepare(args):
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     seed = args.seed if args.seed is not None else cfg.seed
+    _check_seed("--seed", seed)
     out_dir = args.out if args.out is not None else Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     mc_enabled = cfg.mc.enabled if args.mc is None else bool(args.mc)

@@ -17,10 +17,8 @@ from scipy import special as _sp
 
 __all__ = [
     "gamma",
-    "lower_inc_gamma",
     "upper_inc_gamma",
     "reg_lower_inc_gamma",
-    "reg_upper_inc_gamma",
     "bessel_k",
     "q_function",
     "binomial",
@@ -56,15 +54,8 @@ def _check_inc_domain(s, x):
     _checked(x, lambda v: v < 0.0, "incomplete gamma requires x >= 0")
 
 
-def lower_inc_gamma(s, x):
-    """Unregularized lower incomplete gamma: integral of t^(s-1) e^-t over [0, x]."""
-    _check_inc_domain(s, x)
-    out = _sp.gammainc(s, x) * _sp.gamma(s)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def upper_inc_gamma(s, x):
-    """Unregularized upper incomplete gamma, Gamma(s) - lower_inc_gamma(s, x)."""
+    """Unregularized upper incomplete gamma: integral of t^(s-1) e^-t over [x, inf)."""
     _check_inc_domain(s, x)
     out = _sp.gammaincc(s, x) * _sp.gamma(s)
     return float(out) if np.ndim(out) == 0 else out
@@ -74,13 +65,6 @@ def reg_lower_inc_gamma(s, x):
     """Regularized lower incomplete gamma P(s, x); stable for very large s."""
     _check_inc_domain(s, x)
     out = _sp.gammainc(s, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def reg_upper_inc_gamma(s, x):
-    """Regularized upper incomplete gamma Q(s, x)."""
-    _check_inc_domain(s, x)
-    out = _sp.gammaincc(s, x)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -5,6 +5,7 @@ Monte Carlo oracles here use moderate trial counts for speed; the full
 """
 
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from risnoma import expcli
+from risnoma import environment, expcli
 from risnoma.channels import (
     LaguerreFit,
     Link,
@@ -34,6 +35,7 @@ from risnoma.environment import (
     EnvironmentParams,
     ScenarioConfig,
     generate_scenario,
+    los_probability,
     path_loss_amplitude,
     transmit_snr,
 )
@@ -470,6 +472,14 @@ class TestCompositeClosed:
         assert 0.0 <= clamped <= 1.0
 
 
+# Each UAV's link from resolve_links on drops 0-9 of the default scenario, with
+# LoS-fitted shapes and with m_direct=1.5, m_hops=2.0 pinned; keyed
+# "<fitted|pinned>/<drop>", one line per UAV: the RIS index, then m3, m1, m2,
+# amp_direct, amp_ris and gamma_bar_c as float.hex.
+GOLDEN_RESOLVE_LINKS = json.loads(
+    (Path(__file__).resolve().parent / "golden_resolve_links.json").read_text())
+
+
 class TestLinkResolution:
     def test_rounded_direct(self):
         link = _table_i_link(m_direct=1.37)
@@ -485,9 +495,12 @@ class TestLinkResolution:
         b = link.budget()
         assert b == LinkBudget(link.gamma_bar_c, link.amp_direct, link.amp_ris)
         assert (link.gamma_bar_d, link.gamma_bar_r) == (b.gamma_bar_d, b.gamma_bar_r)
-        assert b.amp_direct == path_loss_amplitude(env, scen.bs, scen.uavs[0])
-        assert b.amp_ris == (path_loss_amplitude(env, scen.bs, ris)
-                             * path_loss_amplitude(env, ris, scen.uavs[0]))
+
+        def amp(p, q):
+            return path_loss_amplitude(env, p, q, los_probability(env, p, q))
+
+        assert b.amp_direct == amp(scen.bs, scen.uavs[0])
+        assert b.amp_ris == amp(scen.bs, ris) * amp(ris, scen.uavs[0])
 
     def test_power_point_changes_only_gamma_bar_c(self):
         # a sweep-power point sets gamma_bar_c of the drop's links; both
@@ -512,6 +525,37 @@ class TestLinkResolution:
         links = resolve_links(env, scen)
         for link in links:
             assert link.direct_fading.m >= 4.0 / 3.0 - 1e-9
+
+    @pytest.mark.parametrize("n_uavs, n_ris", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("pins", [{}, {"m_direct": 1.5, "m_hops": 2.0}],
+                             ids=["fitted", "pinned"])
+    def test_one_evaluation_per_endpoint_pair(self, monkeypatch, n_uavs, n_ris, pins):
+        # K BS->RIS pairs, K*M RIS->UAV pairs and M BS->UAV pairs, each with
+        # one LoS probability that sets both its shape and its amplitude
+        calls = {"los_probability": 0, "path_loss_amplitude": 0}
+        for name in calls:
+            fn = getattr(environment, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(environment, name, counted)
+        scen = generate_scenario(ScenarioConfig(n_uavs=n_uavs, n_ris=n_ris), 1)
+        resolve_links(EnvironmentParams(), scen, **pins)
+        pairs = n_ris + n_ris * n_uavs + n_uavs
+        assert calls == {"los_probability": pairs, "path_loss_amplitude": pairs}
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_RESOLVE_LINKS))
+    def test_golden_floats(self, key):
+        shapes, drop = key.split("/")
+        pins = {"fitted": {}, "pinned": {"m_direct": 1.5, "m_hops": 2.0}}[shapes]
+        scen = generate_scenario(ScenarioConfig(), int(drop))
+        got = [" ".join([str(link.ris)] + [float(v).hex() for v in (
+                   link.direct_fading.m, link.hop_g2r.m, link.hop_r2a.m,
+                   link.amp_direct, link.amp_ris, link.gamma_bar_c)])
+               for link in resolve_links(EnvironmentParams(), scen, **pins)]
+        assert got == GOLDEN_RESOLVE_LINKS[key]
 
 
 class TestLinkBudget:

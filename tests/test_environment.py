@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from risnoma.channels import resolve_links
 from risnoma.environment import (
     BOLTZMANN,
     EnvironmentParams,
@@ -22,7 +23,6 @@ from risnoma.environment import (
     noise_power_w,
     path_loss_amplitude,
     path_loss_exponent,
-    select_best_ris,
 )
 
 ENV = EnvironmentParams()  # Table-I defaults
@@ -110,19 +110,23 @@ class TestPathLossAmplitude:
     def test_unit_distance(self):
         a = Position3D(0, 0, 25)
         b = Position3D(1, 0, 25)
-        assert path_loss_amplitude(ENV, a, b) == pytest.approx(1.0, rel=1e-12)
+        assert path_loss_amplitude(ENV, a, b, los_probability(ENV, a, b)) == pytest.approx(
+            1.0, rel=1e-12
+        )
 
     def test_composed_oracle(self):
         a = Position3D(0, 0, 25)
         b = Position3D(500, 0, 100)
         d = a.distance(b)
         alpha = path_loss_exponent(ENV, LOS_BS_UAV)
-        assert path_loss_amplitude(ENV, a, b) == pytest.approx(d ** (-alpha / 2), rel=1e-10)
+        assert path_loss_amplitude(ENV, a, b, los_probability(ENV, a, b)) == pytest.approx(
+            d ** (-alpha / 2), rel=1e-10
+        )
 
     def test_degenerate_distance(self):
         p = Position3D(0, 0, 25)
         with pytest.raises(ValueError):
-            path_loss_amplitude(ENV, p, p)
+            path_loss_amplitude(ENV, p, p, los_probability(ENV, p, p))
 
 
 class TestNoisePower:
@@ -178,6 +182,9 @@ class TestGenerateScenario:
 
 
 class TestSelectBestRis:
+    """resolve_links serves each UAV through the RIS of largest cascaded
+    path-loss amplitude, the lowest index on ties."""
+
     def _scenario(self, ris_positions):
         from risnoma.environment import RisSite
 
@@ -194,11 +201,11 @@ class TestSelectBestRis:
 
     def test_single_ris(self):
         scen = self._scenario([Position3D(100, 100, 30)])
-        assert select_best_ris(ENV, scen, 0) == 0
+        assert resolve_links(ENV, scen)[0].ris == 0
 
     def test_near_ris_dominates(self):
         scen = self._scenario([Position3D(1500, 1200, 30), Position3D(390, 5, 30)])
-        assert select_best_ris(ENV, scen, 0) == 1
+        assert resolve_links(ENV, scen)[0].ris == 1
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -209,8 +216,9 @@ class TestSelectBestRis:
             )
         ]
         scen = self._scenario(positions)
-        gains = [
-            path_loss_amplitude(ENV, scen.bs, p) * path_loss_amplitude(ENV, p, scen.uavs[0])
-            for p in positions
-        ]
-        assert select_best_ris(ENV, scen, 0) == int(np.argmax(gains))
+
+        def amp(a, b):
+            return path_loss_amplitude(ENV, a, b, los_probability(ENV, a, b))
+
+        gains = [amp(scen.bs, p) * amp(p, scen.uavs[0]) for p in positions]
+        assert resolve_links(ENV, scen)[0].ris == int(np.argmax(gains))

@@ -496,6 +496,26 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert key in err and "4.0e+7" in err
 
+    @pytest.mark.parametrize("value", ['"no"', '"false"', "0"],
+                             ids=["quoted_no", "quoted_false", "zero"])
+    def test_bool_key_needs_yaml_bool(self, tmp_path, capsys, value):
+        # a quoted "no" is text, and text or 0 must not switch Monte Carlo on
+        cfg = _write(tmp_path, FAST_YAML.replace("enabled: false", f"enabled: {value}"))
+        assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "mc.enabled" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_links.csv").exists()
+
+    @pytest.mark.parametrize("cmd, edit, argv, key", [
+        ("sweep-links", ("seed: 7", "seed: -1"), [], "seed"),
+        ("sweep-links", None, ["--seed", "-3"], "--seed"),
+        ("sweep-links", ("seed: 5", "seed: -1"), [], "mc.seed"),
+        ("validate", ("seed: 5", "seed: -1"), [], "mc.seed"),
+    ], ids=["config_seed", "cli_seed", "mc_seed", "mc_seed_validate"])
+    def test_negative_seed(self, tmp_path, capsys, cmd, edit, argv, key):
+        cfg = _write(tmp_path, FAST_YAML.replace(*edit) if edit else FAST_YAML)
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
+        assert f"config error: {key} must be an integer >= 0" in capsys.readouterr().err
+
 
 class TestMcCalls:
     """One Monte Carlo run covers every point and rank of a run: a whole
