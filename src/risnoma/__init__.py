@@ -15,11 +15,9 @@ from .channels import (
     composite_snr_cdf_quadrature,
     direct_snr_cdf,
     double_nakagami_moment,
-    double_nakagami_pdf,
     fit_laguerre,
     resolve_links,
     ris_snr_cdf,
-    ris_snr_cdf_q_approx,
 )
 from .environment import (
     EnvironmentParams,

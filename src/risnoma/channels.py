@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sp
 
 from . import environment as env_mod
 from .special_math import (
@@ -31,8 +32,6 @@ from .special_math import (
     gamma as gamma_fn,
     q_function,
     reg_lower_inc_gamma,
-    upper_inc_gamma,
-    bessel_k,
 )
 
 __all__ = [
@@ -43,11 +42,9 @@ __all__ = [
     "Link",
     "LinkChannel",
     "LINK_KINDS",
-    "double_nakagami_pdf",
     "double_nakagami_moment",
     "fit_laguerre",
     "ris_snr_cdf",
-    "ris_snr_cdf_q_approx",
     "direct_snr_cdf",
     "composite_snr_cdf_quadrature",
     "composite_snr_cdf_closed",
@@ -131,22 +128,6 @@ class LinkBudget:
         return self.gamma_bar_c * self.amp_ris**2
 
 
-def double_nakagami_pdf(p1: NakagamiParams, p2: NakagamiParams, x):
-    """PDF of the product of two independent Nakagami amplitudes."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("double_nakagami_pdf requires x > 0")
-    ratio = p1.m * p2.m / (p1.omega * p2.omega)
-    msum = p1.m + p2.m
-    out = (
-        4.0
-        * x ** (msum - 1.0)
-        * bessel_k(p1.m - p2.m, 2.0 * x * math.sqrt(ratio))
-        / (gamma_fn(p1.m) * gamma_fn(p2.m) * (1.0 / ratio) ** (msum / 2.0))
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def double_nakagami_moment(p1: NakagamiParams, p2: NakagamiParams, n: int) -> float:
     """n-th moment of the two-hop product amplitude:
     prod_j Gamma(m_j + n/2)/Gamma(m_j) * (Omega_j/m_j)^(n/2)."""
@@ -158,11 +139,18 @@ def double_nakagami_moment(p1: NakagamiParams, p2: NakagamiParams, n: int) -> fl
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _element_moments(hop_g2r: NakagamiParams, hop_r2a: NakagamiParams):
+    """Mean and variance of one element's product amplitude; every N of a
+    pair of hops shares them."""
+    mean_i = double_nakagami_moment(hop_g2r, hop_r2a, 1)
+    second_i = double_nakagami_moment(hop_g2r, hop_r2a, 2)
+    return mean_i, second_i - mean_i**2
+
+
 def fit_laguerre(ris: RisLinkParams) -> LaguerreFit:
     """Moment-matched gamma fit to the sum of n_elements i.i.d. products."""
-    mean_i = double_nakagami_moment(ris.hop_g2r, ris.hop_r2a, 1)
-    second_i = double_nakagami_moment(ris.hop_g2r, ris.hop_r2a, 2)
-    var_i = second_i - mean_i**2
+    mean_i, var_i = _element_moments(ris.hop_g2r, ris.hop_r2a)
     n = ris.n_elements
     return LaguerreFit(
         a=n * mean_i**2 / var_i,
@@ -178,32 +166,6 @@ def ris_snr_cdf(fit: LaguerreFit, gamma_bar_r: float, gamma):
         raise ValueError("gamma_bar_r must be positive")
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     return reg_lower_inc_gamma(fit.a, np.sqrt(gamma / gamma_bar_r) / fit.b)
-
-
-def _truncnorm_cdf(fit: LaguerreFit, s):
-    """Zero-truncated normal CDF of the element sum: 1 - Q((s-E)/sigma)/Q(-sqrt(a)).
-
-    Exactly zero at s=0 because E/sigma = sqrt(a); the Q(-sqrt(a)) denominator
-    is the mass of the fitted normal above zero.
-    """
-    z = q_function(-math.sqrt(fit.a))
-    val = 1.0 - q_function((np.asarray(s, dtype=float) - fit.mean_sum) / fit.sigma_sum) / z
-    return np.clip(val, 0.0, 1.0)
-
-
-def ris_snr_cdf_q_approx(fit: LaguerreFit, gamma_bar_r: float, gamma):
-    """Truncated-normal approximation of ris_snr_cdf, clamped to [0, 1].
-
-    Used inside the composite closed form; its quality improves with the
-    fitted shape a (i.e. with the element count).
-    """
-    if gamma_bar_r <= 0:
-        raise ValueError("gamma_bar_r must be positive")
-    gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
-        raise ValueError("gamma must be nonnegative")
-    out = _truncnorm_cdf(fit, np.sqrt(gamma / gamma_bar_r))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def direct_snr_cdf(p: NakagamiParams, gamma_bar_d: float, gamma):
@@ -267,37 +229,102 @@ def composite_snr_cdf_quadrature(fit, direct: NakagamiParams, budget: LinkBudget
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _psi(p1: float, p2: float, c1: float, c2: float, c3: float, n: int) -> float:
-    """Closed form of int_{p1}^{p2} x^n exp(-c1 x^2 + 2 c2 x - c3) dx.
+class _ClosedForm:
+    """composite_snr_cdf_closed for one (fit, direct, budget): its
+    gamma-independent constants, and the closed form at a scalar gamma.
 
-    Binomial-expands x^n about the Gaussian center mu = c2/c1 and reduces each
-    term to incomplete gamma functions of c1 (p - mu)^2; the three sign cases
-    depend on where [p1, p2] sits relative to mu.
+    Every expression is the one the closed form has always evaluated, in the
+    same order and with the same Python or scipy.special call, so a value has
+    the same bits whichever gammas it is evaluated with.
     """
-    if p2 <= p1:
-        return 0.0
-    mu = c2 / c1
-    log_pref = c2 * c2 / c1 - c3
-    pref = math.exp(log_pref)
-    u1 = c1 * (p1 - mu) ** 2
-    u2 = c1 * (p2 - mu) ** 2
-    total = 0.0
-    for i in range(n + 1):
-        k = (i + 1) / 2.0
-        rho = binomial(n, i) * pref * mu ** (n - i)
-        if p1 >= mu or i % 2 == 1:
-            bracket = upper_inc_gamma(k, u1) - upper_inc_gamma(k, u2)
-        elif p2 <= mu:
-            bracket = upper_inc_gamma(k, u2) - upper_inc_gamma(k, u1)
+
+    def __init__(self, fit: LaguerreFit, direct: NakagamiParams, budget: LinkBudget):
+        two_m3 = 2.0 * direct.m
+        if abs(two_m3 - round(two_m3)) > 1e-6:
+            raise ValueError(
+                f"closed-form composite CDF needs half-integer m3, got m3={direct.m}"
+            )
+        n = self.n_pow = int(round(two_m3)) - 1
+        m3 = self.m3 = direct.m
+        om3 = direct.omega
+        self.gamma_bar_c = budget.gamma_bar_c
+        self.direct_scale = om3 * budget.gamma_bar_d  # direct_snr_cdf's gamma scale
+        self.z_norm = q_function(-math.sqrt(fit.a))  # truncated-normal mass above zero
+        s_amp = budget.amp_ris * fit.sigma_sum  # std of the RIS term in the amplitude domain
+        self.mean_amp = budget.amp_ris * fit.mean_sum
+        self.two_var = 2.0 * s_amp**2
+        self.lam = m3 / (om3 * budget.amp_direct**2)
+        self.c1 = self.lam + 1.0 / self.two_var
+        # (1 - 1/Z) F_d computed as -(Q(sqrt a)/Z) F_d to dodge cancellation.
+        self.fd_coef = -(q_function(math.sqrt(fit.a)) / self.z_norm)
+        self.scale = self.lam**m3 / (self.z_norm * gamma_fn(m3))
+        # psi term i has k = (i+1)/2: its binomial, 2 c1^k and Gamma(k)
+        ks = [(i + 1) / 2.0 for i in range(n + 1)]
+        self.binom = [binomial(n, i) for i in range(n + 1)]
+        self.two_c1k = [2.0 * self.c1**k for k in ks]
+        self.ks = np.array(ks)[:, None]
+        self.gamma_k = _sp.gamma(self.ks)
+        self.gk = self.gamma_k[:, 0].tolist()
+
+    def __call__(self, gamma: float) -> float:
+        if gamma == 0.0:
+            return 0.0
+        big_t = math.sqrt(gamma / self.gamma_bar_c)
+        m_split = big_t - self.mean_amp  # direct amplitude at the branch point
+        c1 = self.c1
+        c2 = m_split / self.two_var
+        c3 = m_split**2 / self.two_var
+        mu = c2 / c1
+        pref = math.exp(c2 * c2 / c1 - c3)
+
+        f_d = float(_sp.gammainc(self.m3, self.m3 * gamma / self.direct_scale))
+        val = self.fd_coef * f_d
+        # Gamma(k_i, c1 (p - mu)^2) of every psi term at every interval end p,
+        # in one ufunc call
+        ends = (0.0, big_t) if m_split < 0.0 else (0.0, m_split, big_t)
+        upper = (_sp.gammaincc(self.ks, [c1 * (p - mu) ** 2 for p in ends])
+                 * self.gamma_k).T.tolist()
+        if m_split < 0.0:
+            val += self.scale * self._psi(0.0, big_t, mu, pref, upper[0], upper[1])
         else:
-            low = gamma_fn(k) - upper_inc_gamma(k, u1)
-            high = gamma_fn(k) - upper_inc_gamma(k, u2)
-            bracket = low + high
-        total += rho / (2.0 * c1**k) * bracket
-    return total
+            val += float(_sp.gammainc(self.m3, self.lam * m_split**2)) / self.z_norm
+            val += self.scale * (
+                self._psi(m_split, big_t, mu, pref, upper[1], upper[2])
+                - self._psi(0.0, m_split, mu, pref, upper[0], upper[1])
+            )
+        return min(max(val, 0.0), 1.0)
+
+    def _psi(self, p1, p2, mu, pref, upper1, upper2) -> float:
+        """Closed form of int_{p1}^{p2} x^n exp(-c1 x^2 + 2 c2 x - c3) dx, given
+        upper1[i] = Gamma(k_i, c1 (p1 - mu)^2) and upper2 likewise at p2.
+
+        Binomial-expands x^n about the Gaussian center mu = c2/c1 and reduces
+        each term to incomplete gamma functions of c1 (p - mu)^2; the three
+        sign cases depend on where [p1, p2] sits relative to mu.
+        """
+        if p2 <= p1:
+            return 0.0
+        n = self.n_pow
+        total = 0.0
+        for i in range(n + 1):
+            rho = self.binom[i] * pref * mu ** (n - i)
+            if p1 >= mu or i % 2 == 1:
+                bracket = upper1[i] - upper2[i]
+            elif p2 <= mu:
+                bracket = upper2[i] - upper1[i]
+            else:
+                low = self.gk[i] - upper1[i]
+                high = self.gk[i] - upper2[i]
+                bracket = low + high
+            total += rho / self.two_c1k[i] * bracket
+        return total
 
 
-def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, gamma) -> float:
+# Links are immutable and reused, and so are their closed-form constants.
+_closed_form = functools.lru_cache(maxsize=256)(_ClosedForm)
+
+
+def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, gamma):
     """Closed-form composite CDF (truncated-normal sum model + Chernoff tail).
 
     Two branches split on the sum mean versus sqrt(gamma/gamma_bar_r); inside
@@ -305,49 +332,17 @@ def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, ga
     solved with incomplete gamma functions.  Requires 2*m3 within 1e-6 of an
     integer (the psi expansion is finite only then); Link.cdf snaps the
     fitted direct shape to the nearest half-integer before invoking it.
-    The value is clamped to [0, 1].
+    The value is clamped to [0, 1].  A scalar gamma gives a float; an array
+    gives an ndarray of the scalar values, bit for bit.  The constants that
+    do not depend on gamma are computed once per (fit, direct, budget).
     """
-    gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError("gamma must be nonnegative")
+    gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     if fit is None:
-        return float(direct_snr_cdf(direct, budget.gamma_bar_d, gamma))
-    two_m3 = 2.0 * direct.m
-    if abs(two_m3 - round(two_m3)) > 1e-6:
-        raise ValueError(
-            f"closed-form composite CDF needs half-integer m3, got m3={direct.m}"
-        )
-    n_pow = int(round(two_m3)) - 1
-    if gamma == 0.0:
-        return 0.0
-
-    big_t = math.sqrt(gamma / budget.gamma_bar_c)
-    amp_r = budget.amp_ris
-    amp_d = budget.amp_direct
-    m3, om3 = direct.m, direct.omega
-
-    z_norm = q_function(-math.sqrt(fit.a))  # truncated-normal mass above zero
-    s_amp = amp_r * fit.sigma_sum  # std of the RIS term in the amplitude domain
-    mean_amp = amp_r * fit.mean_sum
-    m_split = big_t - mean_amp  # direct amplitude at the branch point
-
-    lam = m3 / (om3 * amp_d**2)
-    c1 = lam + 1.0 / (2.0 * s_amp**2)
-    c2 = m_split / (2.0 * s_amp**2)
-    c3 = m_split**2 / (2.0 * s_amp**2)
-
-    f_d = float(direct_snr_cdf(direct, budget.gamma_bar_d, gamma))
-    # (1 - 1/Z) F_d computed as -(Q(sqrt a)/Z) F_d to dodge cancellation.
-    val = -(q_function(math.sqrt(fit.a)) / z_norm) * f_d
-    scale = lam**m3 / (z_norm * gamma_fn(m3))
-    if m_split < 0.0:
-        val += scale * _psi(0.0, big_t, c1, c2, c3, n_pow)
-    else:
-        val += reg_lower_inc_gamma(m3, lam * m_split**2) / z_norm
-        val += scale * (
-            _psi(m_split, big_t, c1, c2, c3, n_pow) - _psi(0.0, m_split, c1, c2, c3, n_pow)
-        )
-    return min(max(val, 0.0), 1.0)
+        return direct_snr_cdf(direct, budget.gamma_bar_d, gamma)
+    form = _closed_form(fit, direct, budget)
+    if np.ndim(gamma) == 0:
+        return form(float(gamma))
+    return np.array([form(g) for g in gamma.ravel().tolist()]).reshape(gamma.shape)
 
 
 def _half_integer_m(p: NakagamiParams) -> NakagamiParams:
@@ -374,8 +369,9 @@ class Link:
         return None if self.ris is None else fit_laguerre(self.ris)
 
     def cdf(self, gamma):
-        """SNR CDF: exact for the direct link, Laguerre fit for the RIS-only
-        link, closed form (scalar gamma) for the composite link."""
+        """SNR CDF at a scalar or array gamma: exact for the direct link,
+        Laguerre fit for the RIS-only link, closed form for the composite
+        link.  An array gives, element by element, the scalar values."""
         if self.ris is None:
             return direct_snr_cdf(self.direct, self.budget.gamma_bar_d, gamma)
         if self.direct is None:

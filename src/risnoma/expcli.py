@@ -25,7 +25,7 @@ import yaml
 from . import __version__
 from .channels import LINK_KINDS, Link, composite_snr_cdf_quadrature, resolve_links
 from .environment import EnvironmentParams, ScenarioConfig, generate_scenario, transmit_snr
-from .noma import OutageModel, PowerAllocation, _sic_margins, ordered_cdf
+from .noma import OutageModel, PowerAllocation, _sic_margins, _sic_phis, ordered_cdf
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
 from .sim_oracle import McConfig, mc_noma_outage, mc_snr_cdf
 
@@ -33,7 +33,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
-    "dump_config",
     "run_sweep_links",
     "run_sweep_power",
     "run_sweep_rate",
@@ -321,14 +320,6 @@ def _to_plain(obj):
     return obj
 
 
-def dump_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config back to YAML (inverse of load_config)."""
-    data = _to_plain(cfg)
-    seed = data.pop("seed")
-    data["seed"] = seed
-    return yaml.safe_dump(data, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # model construction
 
@@ -359,7 +350,8 @@ def _allocation(cfg: ExperimentConfig, model: OutageModel) -> PowerAllocation:
     if abs(total - 1.0) > 1e-3:
         raise ConfigError(f"noma.beta must sum to one, got {total}")
     beta = tuple(float(b) / total for b in beta)
-    for j, (_, margin) in enumerate(_sic_margins(beta, model.rates, model.m_users), start=1):
+    margins = _sic_margins(beta, _sic_phis(model.rates), model.m_users)
+    for j, (_, margin) in enumerate(margins, start=1):
         if not margin > 0.0:
             raise ConfigError(
                 f"noma.beta breaks SIC at rank {j} for target rate {model.rates[j - 1]:g} bpc: "

@@ -8,6 +8,7 @@ largest SIC threshold it must clear.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,15 +73,19 @@ def decode_rate(gamma_m, alloc: PowerAllocation, m: int, j: int):
     return np.log2(1.0 + gamma_m * alloc.beta[j - 1] / (gamma_m * interf + 1.0))
 
 
-def _sic_margins(beta, rates, m: int):
+def _sic_phis(rates):
+    """phi_j = 2^R_j - 1 of every rank's target rate R_j."""
+    return [2.0 ** float(r) - 1.0 for r in rates]
+
+
+def _sic_margins(beta, phis, m: int):
     """Yield (phi_j, beta_j - phi_j * sum_{i>j} beta_i) for ranks j = 1..m.
 
-    phi_j = 2^R_j - 1.  SIC decodes rank j only if its margin is positive,
-    i.e. (2^R_j - 1) sum_{i>j} beta_i < beta_j.
+    phis come from _sic_phis.  SIC decodes rank j only if its margin is
+    positive, i.e. (2^R_j - 1) sum_{i>j} beta_i < beta_j.
     """
     for j in range(m):
-        phi = 2.0 ** float(rates[j]) - 1.0
-        yield phi, beta[j] - phi * math.fsum(beta[j + 1:])
+        yield phis[j], beta[j] - phis[j] * math.fsum(beta[j + 1:])
 
 
 def sic_thresholds(alloc: PowerAllocation, rates, m: int):
@@ -95,7 +100,7 @@ def sic_thresholds(alloc: PowerAllocation, rates, m: int):
     if len(rates) != alloc.m_users:
         raise ValueError("need one target rate per user")
     lbs = []
-    for j, (phi, denom) in enumerate(_sic_margins(alloc.beta, rates, m), start=1):
+    for j, (phi, denom) in enumerate(_sic_margins(alloc.beta, _sic_phis(rates), m), start=1):
         if denom <= 0.0:
             raise InfeasibleAllocationError(
                 j,
@@ -112,19 +117,35 @@ def _binding_threshold(lbs, m: int, m_users: int) -> float:
     return lbs[m - 1] if m == m_users else max(lbs[:m])
 
 
+@functools.lru_cache(maxsize=None)
+def _ordered_terms(m: int, total: int):
+    """ordered_cdf's sum as (coefficient, power) pairs, and its outer factor."""
+    terms = [(binomial(total - m, n) * (-1.0) ** n, m + n) for n in range(total - m + 1)]
+    return terms, m * binomial(total, m)
+
+
 def ordered_cdf(parent_cdf_value, m: int, total: int):
-    """CDF of the m-th smallest of `total` i.i.d. draws, given the parent CDF value."""
+    """CDF of the m-th smallest of `total` i.i.d. draws, given the parent CDF value:
+    m C(total, m) sum_n C(total-m, n) (-1)^n F^(m+n) / (m+n), clipped to [0, 1].
+    An array of parent values gives, element by element, the scalar results."""
     if not 1 <= m <= total:
         raise ValueError("rank out of range")
-    _checked(parent_cdf_value, lambda v: (v < 0.0) | (v > 1.0),
-             "parent CDF value must lie in [0, 1]")
     f = np.asarray(parent_cdf_value, dtype=float)
-    acc = np.zeros_like(f)
-    for n in range(total - m + 1):
-        acc += binomial(total - m, n) * (-1.0) ** n * f ** (m + n) / (m + n)
-    out = m * binomial(total, m) * acc
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    values = f.ravel()
+    if any(v < 0.0 or v > 1.0 for v in values.tolist()):
+        raise ValueError("parent CDF value must lie in [0, 1]")
+    terms, factor = _ordered_terms(m, total)
+    # F^(m+n) comes from numpy's power, whose bits the results keep; the rest is
+    # exactly rounded float arithmetic, the same in Python as in numpy
+    powers = [(coef, power, (values**power).tolist()) for coef, power in terms]
+    out = []
+    for i in range(values.size):
+        acc = 0.0
+        for coef, power, f_pow in powers:
+            acc += coef * f_pow[i] / power
+        acc *= factor
+        out.append(0.0 if acc < 0.0 else 1.0 if acc > 1.0 else acc)  # np.clip's rule
+    return out[0] if f.ndim == 0 else np.array(out).reshape(f.shape)
 
 
 class OutageModel:
@@ -133,6 +154,13 @@ class OutageModel:
     Links are sorted weakest-first by mean direct channel gain; rank m uses
     its own link's parent CDF (direct, RIS-only, or composite with a per-rank
     element count) inside the ordered-statistics outage formula.
+
+    An outage depends on beta only through the rank's binding SIC threshold,
+    so the model keeps every allocation's thresholds and every (rank, N,
+    threshold) score it has computed, and computes each once.  Scores are
+    computed a rank at a time: the thresholds not seen before go through the
+    link CDF and ordered_cdf in one array call each, which gives every
+    element the bits a scalar call gives it.
     """
 
     def __init__(self, links, rates, link_type: str):
@@ -147,9 +175,8 @@ class OutageModel:
         if any(r <= 0 for r in self.rates):
             raise ValueError("target rates must be positive")
         self._rank_links = {}
-        # outage by (rank, n_elements, binding SIC threshold): beta enters the
-        # outage only through that threshold, so candidates share scores
-        self._scores = {}
+        self._thresholds = {}  # beta -> binding SIC threshold of every rank
+        self._scores = {}  # (rank, n_elements) -> {binding threshold: outage}
 
     def link(self, rank: int, n_elements: int) -> ch.Link:
         """The link of the given rank (1-based) with n_elements RIS elements."""
@@ -161,22 +188,49 @@ class OutageModel:
     def outage(self, rank: int, alloc: PowerAllocation, n_elements: int) -> float:
         """Outage of the given rank: the ordered CDF of its link at the binding
         SIC threshold.  An infeasible allocation raises InfeasibleAllocationError."""
-        _, gamma_mlb = sic_thresholds(alloc, self.rates, rank)
-        return self._score(rank, n_elements, gamma_mlb)
+        thresholds = self._thresholds.get(alloc.beta)
+        if thresholds is None or not 1 <= rank <= self.m_users:
+            _, gamma_mlb = sic_thresholds(alloc, self.rates, rank)
+        else:
+            gamma_mlb = thresholds[rank - 1]
+        return self._rank_outages(rank, n_elements, (gamma_mlb,))[0]
 
     def outages(self, alloc: PowerAllocation, n_per_rank):
         """Outage of every rank, from one pass over the SIC thresholds."""
-        lbs, _ = sic_thresholds(alloc, self.rates, self.m_users)
+        thresholds = self._binding_thresholds(alloc)
         return [
-            self._score(m, int(n_per_rank[m - 1]), _binding_threshold(lbs, m, self.m_users))
+            self._rank_outages(m, int(n_per_rank[m - 1]), (thresholds[m - 1],))[0]
             for m in range(1, self.m_users + 1)
         ]
 
-    def _score(self, rank: int, n_elements: int, gamma_mlb: float) -> float:
-        """Ordered CDF of the rank's link at gamma_mlb, computed once per key."""
-        key = (rank, n_elements, gamma_mlb)
-        out = self._scores.get(key)
+    def batch_outages(self, allocs, n_per_rank):
+        """outages(alloc, n_per_rank) of each allocation, bit for bit, scored
+        one rank at a time over the whole batch."""
+        thresholds = [self._binding_thresholds(alloc) for alloc in allocs]
+        per_rank = [
+            self._rank_outages(m, int(n_per_rank[m - 1]), [t[m - 1] for t in thresholds])
+            for m in range(1, self.m_users + 1)
+        ]
+        return [list(outs) for outs in zip(*per_rank)]
+
+    def _binding_thresholds(self, alloc: PowerAllocation):
+        """Binding SIC threshold of every rank under alloc, computed once per beta."""
+        out = self._thresholds.get(alloc.beta)
         if out is None:
-            parent = float(self.link(rank, n_elements).cdf(gamma_mlb))
-            out = self._scores[key] = float(ordered_cdf(parent, rank, self.m_users))
+            lbs, _ = sic_thresholds(alloc, self.rates, self.m_users)
+            out = self._thresholds[alloc.beta] = [
+                _binding_threshold(lbs, m, self.m_users) for m in range(1, self.m_users + 1)
+            ]
         return out
+
+    def _rank_outages(self, rank: int, n_elements: int, thresholds):
+        """Ordered CDF of the rank's link at each threshold; the thresholds
+        not scored before are scored in one array pass."""
+        if self.link_type == "direct":
+            n_elements = 0  # the direct link is the same at every N
+        scores = self._scores.setdefault((rank, n_elements), {})
+        new = [g for g in dict.fromkeys(thresholds) if g not in scores]
+        if new:
+            parent = self.link(rank, n_elements).cdf(np.array(new))
+            scores.update(zip(new, ordered_cdf(parent, rank, self.m_users).tolist()))
+        return [scores[g] for g in thresholds]

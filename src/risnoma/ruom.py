@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noma import OutageModel, PowerAllocation, _sic_margins
+from .noma import OutageModel, PowerAllocation, _sic_margins, _sic_phis
 
 __all__ = [
     "NoFeasibleAllocationError",
@@ -134,6 +134,10 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
     with one, each coordinate is restricted to [beta_m - eps, beta_m + eps]
     and the incumbent itself is kept in the set so refinements never regress.
     Returns PowerAllocations in lexicographic order; empty is a legal result.
+
+    A leaf becomes a PowerAllocation only once it meets the sum rule and
+    every SIC margin; the enumeration never descends into a branch that
+    breaks the strict NOMA ordering, since no allocation lies below it.
     """
     if not 0.0 < eps_sr <= 1.0:
         raise ValueError("eps_sr must lie in (0, 1]")
@@ -148,21 +152,25 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
         ]
 
     found = {}
+    tol = 1e-9 * m_users
+    phis = _sic_phis(rates)
 
     def visit(candidate):
-        if not all(margin > 0.0 for _, margin in _sic_margins(candidate, rates, m_users)):
+        if abs(math.fsum(candidate) - 1.0) > tol:  # PowerAllocation's sum rule
+            return
+        if not all(margin > 0.0 for _, margin in _sic_margins(candidate, phis, m_users)):
             return
         try:
             alloc = PowerAllocation(candidate)
         except ValueError:
-            # SIC-feasible but off the sum constraint, or violating the strict
-            # NOMA ordering (possible for target rates < 1); not a valid allocation
+            # outside (0, 1) or not strictly decreasing (possible for target
+            # rates < 1); not a valid allocation
             return
         found.setdefault(tuple(round(b, 12) for b in candidate), alloc)
 
     # depth-first with sum pruning: partial sums above 1 (or unable to reach 1)
-    # can never satisfy the sum constraint
-    tol = 1e-9 * m_users
+    # can never satisfy the sum constraint; axes ascend, so a value at or
+    # above its predecessor ends the loop
     suffix_max = [0.0] * (m_users + 1)
     for i in range(m_users - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + max(axes[i])
@@ -173,7 +181,7 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
             return
         for v in axes[depth]:
             new_sum = partial + v
-            if new_sum > 1.0 + tol:
+            if new_sum > 1.0 + tol or (depth and v >= prefix[-1]):
                 break
             if new_sum + suffix_max[depth + 1] < 1.0 - tol:
                 continue
@@ -186,7 +194,8 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
 
 
 def evaluate_candidates(candidates, objective) -> PowerAllocation:
-    """Argmin of `objective` over candidate allocations.
+    """Argmin over candidate allocations of a vector objective, which maps the
+    list of candidates to one score per candidate in one call.
 
     Ties on the objective break toward the lexicographically smallest beta,
     so the winner is independent of evaluation order.
@@ -194,7 +203,9 @@ def evaluate_candidates(candidates, objective) -> PowerAllocation:
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate set")
-    scores = [objective(c) for c in candidates]
+    scores = list(objective(candidates))
+    if len(scores) != len(candidates):
+        raise ValueError("the objective must score every candidate")
     best = min(zip(scores, (c.beta for c in candidates), candidates), key=lambda s: s[:2])
     return best[2]
 
@@ -236,13 +247,18 @@ def ruom(model: OutageModel, params: RuomParams) -> RuomResult:
     beta_prev = None
     beta_t = None
     converged = False
+    # the candidates of a level depend only on (incumbent, resolution), and
+    # later iterations revisit most levels of earlier ones
+    levels = {}
 
     for t in range(1, params.max_iter + 1):
         # --- fairness: progressive grid search on beta ---
         eps_sr = params.eps_in
         beta_t = None
         while eps_sr > params.eps_ac:
-            candidates = pgs(beta_t, eps_sr, rates, m_users)
+            candidates = levels.get((beta_t, eps_sr))
+            if candidates is None:
+                candidates = levels[beta_t, eps_sr] = pgs(beta_t, eps_sr, rates, m_users)
             if not candidates and beta_t is None:
                 # the coarsest global grid is infeasible; finer global grids
                 # are combinatorially explosive, so fail fast per contract
@@ -253,7 +269,7 @@ def ruom(model: OutageModel, params: RuomParams) -> RuomResult:
             if candidates:
                 beta_t = evaluate_candidates(
                     candidates,
-                    lambda b: max(model.outages(b, n_per_rank)),
+                    lambda cs: [max(o) for o in model.batch_outages(cs, n_per_rank)],
                 )
             eps_sr *= params.lam
 

@@ -29,7 +29,6 @@ __all__ = [
     "McEstimate",
     "batch_rng",
     "sample_nakagami",
-    "sample_ris_sum",
     "mc_snr_cdf",
     "mc_noma_outage",
 ]
@@ -82,13 +81,6 @@ def batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 def sample_nakagami(p: NakagamiParams, rng: np.random.Generator, size=None):
     """Nakagami amplitude draws: sqrt of Gamma(m, omega/m) power samples."""
     return np.sqrt(rng.gamma(shape=p.m, scale=p.omega / p.m, size=size))
-
-
-def sample_ris_sum(ris: RisLinkParams, rng: np.random.Generator, size=None):
-    """Coherent post-alignment element sum: sum_i g_i^g * g_i^a over N elements."""
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    out = _element_sums(ris, (ris.n_elements,), rng, shape)[ris.n_elements]
-    return float(out) if size is None else out
 
 
 def _element_sums(ris: RisLinkParams, counts, rng, shape) -> dict:

@@ -1,11 +1,13 @@
 """Special-function kernel used by every closed-form link distribution.
 
-All functions are pure scalar maps (ndarray-broadcasting where it is free)
-with explicit domain checks.  Backed by scipy.special, which provides the
+All functions take a scalar or an array (broadcasting like the scipy.special
+ufuncs behind them) with explicit domain checks.  scipy.special provides the
 accuracy the closed-form outage expressions need without a hand-rolled
-Lanczos/continued-fraction stack.  A Python float or int argument (np.float64
-included) is domain-checked without building an array, since the closed forms
-call these kernels one scalar at a time.
+Lanczos/continued-fraction stack, and its ufuncs give each element of an
+array the bits a scalar call gives it.  A Python float or int argument
+(np.float64 included) is domain-checked without building an array.  The
+composite closed form calls scipy.special directly inside its series, after
+one gamma >= 0 check at its entry.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "gamma",
     "upper_inc_gamma",
     "reg_lower_inc_gamma",
-    "bessel_k",
     "q_function",
     "binomial",
 ]
@@ -37,7 +38,7 @@ def _checked(x, bad, message: str):
             raise ValueError(message)
         return x
     x = np.asarray(x, dtype=float)
-    if np.any(bad(x)):
+    if bad(x).any():
         raise ValueError(message)
     return x
 
@@ -65,15 +66,6 @@ def reg_lower_inc_gamma(s, x):
     """Regularized lower incomplete gamma P(s, x); stable for very large s."""
     _check_inc_domain(s, x)
     out = _sp.gammainc(s, x)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def bessel_k(v, x):
-    """Modified Bessel function of the second kind K_v(x), x > 0, real order v."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_k requires x > 0")
-    out = _sp.kv(v, x)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from risnoma import environment, expcli
 from risnoma.channels import (
+    LINK_KINDS,
     LaguerreFit,
     Link,
     LinkBudget,
@@ -25,11 +26,9 @@ from risnoma.channels import (
     composite_snr_cdf_quadrature,
     direct_snr_cdf,
     double_nakagami_moment,
-    double_nakagami_pdf,
     fit_laguerre,
     resolve_links,
     ris_snr_cdf,
-    ris_snr_cdf_q_approx,
 )
 from risnoma.environment import (
     EnvironmentParams,
@@ -39,8 +38,8 @@ from risnoma.environment import (
     path_loss_amplitude,
     transmit_snr,
 )
-from risnoma.sim_oracle import batch_rng, sample_nakagami, sample_ris_sum
-from risnoma.special_math import q_function
+from risnoma.sim_oracle import _element_sums, batch_rng, sample_nakagami
+from risnoma.special_math import gamma as gamma_fn, q_function
 
 M1 = NakagamiParams(m=1.0)
 M2 = NakagamiParams(m=2.0)
@@ -52,6 +51,28 @@ FIT_B_RAYLEIGH = 0.4878413813377144
 # m=2 hops
 PROD_MEAN_M2 = 0.8835729338221293
 PROD_VAR_M2 = 0.2192988706169550
+
+
+def double_nakagami_pdf(p1: NakagamiParams, p2: NakagamiParams, x):
+    """PDF of the product of two independent Nakagami amplitudes, x > 0: the
+    quadrature oracle for double_nakagami_moment."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError("double_nakagami_pdf requires x > 0")
+    ratio = p1.m * p2.m / (p1.omega * p2.omega)
+    msum = p1.m + p2.m
+    out = (
+        4.0
+        * x ** (msum - 1.0)
+        * special.kv(p1.m - p2.m, 2.0 * x * math.sqrt(ratio))
+        / (gamma_fn(p1.m) * gamma_fn(p2.m) * (1.0 / ratio) ** (msum / 2.0))
+    )
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _ris_sum(ris: RisLinkParams, rng, size: int):
+    """size draws of the element sum S_N, drawn as the MC link families draw it."""
+    return _element_sums(ris, (ris.n_elements,), rng, (size,))[ris.n_elements]
 
 
 def _ris(n, m=1.0, omega=1.0):
@@ -135,7 +156,7 @@ class TestFitLaguerre:
     def test_gamma_fit_ks_distance(self):
         ris = _ris(64, m=2.0)
         fit = fit_laguerre(ris)
-        draws = sample_ris_sum(ris, batch_rng(103, 0), 100_000)
+        draws = _ris_sum(ris, batch_rng(103, 0), 100_000)
         ks, _ = stats.kstest(draws, "gamma", args=(fit.a, 0.0, fit.b))
         assert ks <= 0.02
 
@@ -163,7 +184,7 @@ class TestRisSnrCdf:
         peak = gbar * fit.mean_sum**2
         grid = np.linspace(peak * 1e-2, peak * 3, 60)
         rng = batch_rng(104, 0)
-        snr = gbar * sample_ris_sum(ris, rng, 200_000) ** 2
+        snr = gbar * _ris_sum(ris, rng, 200_000) ** 2
         emp = np.searchsorted(np.sort(snr), grid, side="right") / snr.size
         assert np.max(np.abs(ris_snr_cdf(fit, gbar, grid) - emp)) <= 0.015
 
@@ -173,10 +194,23 @@ class TestRisSnrCdf:
             ris_snr_cdf(fit, 0.0, 1.0)
 
 
+def _ris_snr_cdf_q_approx(fit: LaguerreFit, gamma_bar_r: float, gamma):
+    """RIS-only SNR CDF under the zero-truncated normal model of the element
+    sum that the composite closed form integrates against:
+    1 - Q((s - E)/sigma)/Q(-sqrt(a)) at s = sqrt(gamma/gamma_bar_r), clamped
+    to [0, 1].  Exactly zero at s = 0 because E/sigma = sqrt(a); Q(-sqrt(a))
+    is the mass of the fitted normal above zero."""
+    s = np.sqrt(np.asarray(gamma, dtype=float) / gamma_bar_r)
+    val = 1.0 - q_function((s - fit.mean_sum) / fit.sigma_sum) / q_function(-math.sqrt(fit.a))
+    return np.clip(val, 0.0, 1.0)
+
+
 class TestRisSnrCdfQApprox:
+    """The sum model behind the composite closed form against the gamma fit."""
+
     def test_zero_gamma(self):
         fit = fit_laguerre(_ris(64, m=2.0))
-        assert ris_snr_cdf_q_approx(fit, 5.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert _ris_snr_cdf_q_approx(fit, 5.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_value_at_mean(self):
         # sqrt(gamma/gamma_bar_r) = E[sum] puts the normal argument at zero;
@@ -185,20 +219,20 @@ class TestRisSnrCdfQApprox:
         gbar = 5.0
         gamma = gbar * fit.mean_sum**2
         expected = 1.0 - 0.5 / q_function(-math.sqrt(fit.a))
-        assert ris_snr_cdf_q_approx(fit, gbar, gamma) == pytest.approx(expected, rel=1e-10)
+        assert _ris_snr_cdf_q_approx(fit, gbar, gamma) == pytest.approx(expected, rel=1e-10)
 
     def test_tracks_exact_cdf(self):
         fit = fit_laguerre(_ris(64, m=2.0))
         gbar = 5.0
         peak = gbar * fit.mean_sum**2
         grid = np.linspace(peak * 0.2, peak * 3, 200)
-        gap = np.abs(ris_snr_cdf_q_approx(fit, gbar, grid) - ris_snr_cdf(fit, gbar, grid))
+        gap = np.abs(_ris_snr_cdf_q_approx(fit, gbar, grid) - ris_snr_cdf(fit, gbar, grid))
         assert np.max(gap) <= 0.02
 
     def test_range(self):
         fit = fit_laguerre(_ris(8))
         grid = np.linspace(0.0, 100.0, 50)
-        vals = ris_snr_cdf_q_approx(fit, 1.0, grid)
+        vals = _ris_snr_cdf_q_approx(fit, 1.0, grid)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
@@ -412,7 +446,7 @@ class TestCompositeQuadrature:
         amp_mean = b.amp_ris * fit.mean_sum + b.amp_direct
         grid = np.linspace(0.05, 3.0, 25) * b.gamma_bar_c * amp_mean**2
         rng = batch_rng(107, 0)
-        amp = (b.amp_ris * sample_ris_sum(link.ris_params(n), rng, 200_000)
+        amp = (b.amp_ris * _ris_sum(link.ris_params(n), rng, 200_000)
                + b.amp_direct * sample_nakagami(link.direct_fading, rng, 200_000))
         snr = b.gamma_bar_c * amp**2
         emp = np.searchsorted(np.sort(snr), grid, side="right") / snr.size
@@ -420,7 +454,53 @@ class TestCompositeQuadrature:
         assert np.max(np.abs(quad_vals - emp)) <= 0.01
 
 
+def _default_links(drop=2):
+    """The LoS-fitted links of one default drop (direct m3 is not a half-integer)."""
+    scen = generate_scenario(ScenarioConfig(), drop)
+    return resolve_links(EnvironmentParams(), scen)
+
+
+class TestLinkCdfArrays:
+    """Link.cdf on an array of thresholds gives, element by element, the bits of
+    its scalar calls: the outage model scores a batch of thresholds per call."""
+
+    @pytest.mark.parametrize("kind, n", [(k, n) for k in LINK_KINDS for n in (0, 1, 64, 1024)
+                                         if (k, n) != ("ris", 0)])
+    def test_array_equals_scalar_calls(self, kind, n):
+        for channel in _default_links():
+            link = channel.link(kind, n)
+            b = link.budget
+            amp_mean = ((0.0 if link.ris is None else b.amp_ris * link.fit.mean_sum)
+                        + (0.0 if link.direct is None else b.amp_direct))
+            grid = np.concatenate([
+                [0.0], np.geomspace(1e-6, 8.0, 40) * b.gamma_bar_c * amp_mean**2,
+            ])
+            batch = link.cdf(grid)
+            assert isinstance(batch, np.ndarray) and batch.shape == grid.shape
+            scalars = [link.cdf(g) for g in grid.tolist()]
+            assert all(type(v) is float for v in scalars)
+            assert [v.hex() for v in batch.tolist()] == [v.hex() for v in scalars]
+            assert 0.0 < max(scalars) and min(scalars[1:]) < 1.0
+
+
 class TestCompositeClosed:
+    def test_array_matches_scalars(self):
+        # any shape; elements are the scalar values bit for bit, and a 0-d
+        # array gives a float
+        link = _table_i_link()
+        fit, b = link.laguerre(64), link.budget()
+        amp_mean = b.amp_ris * fit.mean_sum + b.amp_direct
+        grid = np.linspace(0.0, 3.0, 12).reshape(3, 4) * b.gamma_bar_c * amp_mean**2
+        values = composite_snr_cdf_closed(fit, link.direct_fading, b, grid)
+        assert values.shape == (3, 4)
+        assert values.ravel().tolist() == [
+            composite_snr_cdf_closed(fit, link.direct_fading, b, g) for g in grid.ravel().tolist()
+        ]
+        zero_d = composite_snr_cdf_closed(fit, link.direct_fading, b, np.asarray(grid[1, 1]))
+        assert type(zero_d) is float and zero_d == values[1, 1]
+        with pytest.raises(ValueError):
+            composite_snr_cdf_closed(fit, link.direct_fading, b, np.array([1.0, -1.0]))
+
     def test_zero_gamma(self):
         link = _table_i_link()
         assert composite_snr_cdf_closed(link.laguerre(16), link.rounded_direct(),

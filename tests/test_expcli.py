@@ -20,7 +20,6 @@ from risnoma.expcli import (
     EXIT_VALIDATION,
     ConfigError,
     ExperimentConfig,
-    dump_config,
     load_config,
     main,
 )
@@ -85,11 +84,6 @@ class TestLoadConfig:
         # every subcommand but sweep-power runs at scenario.tx_power_dbm
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(_write(tmp_path, text))
-
-    def test_round_trip_idempotent(self, tmp_path):
-        cfg = load_config(_write(tmp_path, FAST_YAML))
-        again = load_config(_write(tmp_path, dump_config(cfg), "again.yaml"))
-        assert cfg == again
 
     def test_zero_tolerance_rejected(self, tmp_path):
         p = _write(tmp_path, "validation:\n  outage_abs_tol: 0.0\n")

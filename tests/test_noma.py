@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from risnoma.channels import LINK_KINDS, LinkChannel, NakagamiParams, resolve_links
+from risnoma.channels import LINK_KINDS, Link, LinkChannel, NakagamiParams, resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import (
     InfeasibleAllocationError,
@@ -190,6 +190,33 @@ class TestOrderedCdf:
         assert isinstance(out, np.ndarray) and out.shape == (2,)
         assert out[1] == values[0]
 
+    @staticmethod
+    def _parent_values():
+        rng = np.random.default_rng(4)
+        tiny = rng.random(400) ** rng.integers(1, 60, 400)
+        return np.concatenate([tiny, rng.random(200), [0.0, -0.0, 1.0, 5e-324, 0.5, 1 - 1e-16]])
+
+    def test_array_equals_scalar_calls(self):
+        f = self._parent_values()
+        for total in range(1, 6):
+            for m in range(1, total + 1):
+                batch = ordered_cdf(f, m, total).tolist()
+                assert [v.hex() for v in batch] == [
+                    ordered_cdf(x, m, total).hex() for x in f.tolist()]
+
+    def test_bits_of_the_array_formula(self):
+        # the sum in numpy arrays, term by term, as ordered_cdf was first
+        # written: its bits are what every stored outage carries
+        f = self._parent_values()
+        for total in range(1, 6):
+            for m in range(1, total + 1):
+                acc = np.zeros_like(f)
+                for n in range(total - m + 1):
+                    acc += math.comb(total - m, n) * (-1.0) ** n * f ** (m + n) / (m + n)
+                expected = np.clip(m * math.comb(total, m) * acc, 0.0, 1.0)
+                got = ordered_cdf(f, m, total)
+                assert got.tobytes() == expected.tobytes()
+
     def test_nan_and_empty_pass(self):
         assert math.isnan(ordered_cdf(math.nan, 2, 3))
         assert np.isnan(ordered_cdf(np.array([math.nan]), 2, 3)).all()
@@ -335,6 +362,60 @@ class TestOutagesMemo:
             for n in (64, 1, 0):
                 fresh = self._model("composite").outages(alloc, (n, n, n))
                 assert [x.hex() for x in warm.outages(alloc, (n, n, n))] == [x.hex() for x in fresh]
+
+    @pytest.mark.parametrize("link_type", LINK_KINDS)
+    @pytest.mark.parametrize("n_per_rank", [(0, 0, 0), (1, 1, 1), (64, 1, 0), (1024, 64, 1)])
+    def test_batch_equals_outages(self, link_type, n_per_rank):
+        allocs = _feasible_allocations(self.RATES, 12, seed=5)
+        allocs += allocs[:3]  # a batch may repeat an allocation
+        if link_type == "ris" and 0 in n_per_rank:
+            with pytest.raises(ValueError):
+                self._model(link_type).batch_outages(allocs, n_per_rank)
+            return
+        batch = self._model(link_type).batch_outages(allocs, n_per_rank)
+        single = [self._model(link_type).outages(a, n_per_rank) for a in allocs]
+        assert [[x.hex() for x in outs] for outs in batch] == [
+            [x.hex() for x in outs] for outs in single]
+
+    def test_batch_scores_each_rank_in_one_cdf_call(self, monkeypatch):
+        # one Link.cdf call per rank, over the thresholds not scored before
+        calls = []
+        cdf = Link.cdf
+
+        def counted_cdf(self, gamma):
+            calls.append(np.atleast_1d(gamma).tolist())
+            return cdf(self, gamma)
+
+        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        model = self._model("composite")
+        allocs = _feasible_allocations(self.RATES, 8, seed=6)
+        model.outages(allocs[0], (64, 1, 0))
+        assert [len(c) for c in calls] == [1, 1, 1]
+        calls.clear()
+        model.batch_outages(allocs + allocs, (64, 1, 0))
+        assert [len(c) for c in calls] == [7, 7, 7]
+        calls.clear()
+        model.batch_outages(allocs, (64, 1, 0))
+        assert calls == []
+
+    def test_direct_link_scored_once_across_element_counts(self, monkeypatch):
+        # a direct-only link is the same at every N, so its score is too
+        calls = []
+        cdf = Link.cdf
+
+        def counted_cdf(self, gamma):
+            calls.extend(np.atleast_1d(gamma).tolist())
+            return cdf(self, gamma)
+
+        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        model, fresh = self._model("direct"), self._model("direct")
+        alloc = _feasible_allocations(self.RATES, 1, seed=8)[0]
+        first = model.outages(alloc, (0, 0, 0))
+        for n in (1, 16, 64, 1024):
+            assert model.outages(alloc, (n, n, n)) == first
+            assert [model.outage(m, alloc, n) for m in (1, 2, 3)] == first
+        assert len(calls) == 3
+        assert fresh.outages(alloc, (64, 64, 64)) == first
 
     def test_infeasible_allocation_names_the_same_rank(self):
         # at 2 bpc rank 1 decodes (0.8 > 3 * 0.2) but rank 2 does not (0.12 < 3 * 0.08)

@@ -97,8 +97,9 @@ def ruom_walk(model, params):
             if not candidates and beta_t is None:
                 raise NoFeasibleAllocationError("coarsest global grid infeasible")
             if candidates:
+                # one scalar outages() call per candidate: the batch's oracle
                 beta_t = evaluate_candidates(
-                    candidates, lambda b: max(model.outages(b, n_per_rank))
+                    candidates, lambda cs: [max(model.outages(b, n_per_rank)) for b in cs]
                 )
             eps_sr *= params.lam
         for m in range(1, m_users + 1):
@@ -190,23 +191,34 @@ class TestPgs:
 class TestEvaluateCandidates:
     def test_singleton(self):
         only = PowerAllocation((0.75, 0.25))
-        assert evaluate_candidates([only], lambda a: 0.3) is only
+        assert evaluate_candidates([only], lambda cs: [0.3]) is only
 
     def test_dominant_wins(self):
         a = PowerAllocation((0.75, 0.25))
         b = PowerAllocation((0.8, 0.2))
         scores = {a.beta: 0.2, b.beta: 0.5}
-        assert evaluate_candidates([b, a], lambda x: scores[x.beta]) is a
+        assert evaluate_candidates([b, a], lambda cs: [scores[x.beta] for x in cs]) is a
 
     def test_tie_breaks_lexicographic(self):
         a = PowerAllocation((0.7, 0.3))
         b = PowerAllocation((0.8, 0.2))
-        winner = evaluate_candidates([b, a], lambda x: 1.0)
+        winner = evaluate_candidates([b, a], lambda cs: [1.0] * len(cs))
         assert winner.beta == (0.7, 0.3)
+
+    def test_objective_called_once_on_all_candidates(self):
+        a = PowerAllocation((0.7, 0.3))
+        b = PowerAllocation((0.8, 0.2))
+        seen = []
+        evaluate_candidates([b, a], lambda cs: seen.append(list(cs)) or [0.5, 0.5])
+        assert seen == [[b, a]]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_candidates([], lambda a: 0.0)
+            evaluate_candidates([], lambda cs: [])
+
+    def test_short_score_vector_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_candidates([PowerAllocation((0.7, 0.3))], lambda cs: [])
 
 
 class TestRuom:
@@ -250,7 +262,7 @@ class TestRuom:
         while eps > 1e-4:
             cands = pgs(beta_t, eps, model.rates, model.m_users)
             if cands:
-                beta_t = evaluate_candidates(cands, obj)
+                beta_t = evaluate_candidates(cands, lambda cs: [obj(b) for b in cs])
                 scores.append(obj(beta_t))
             eps *= 0.1
         assert all(x >= y - 1e-15 for x, y in zip(scores, scores[1:]))
@@ -304,26 +316,30 @@ class TestRuom:
         # the walk takes one outage call per element: 800+ here
         model = _model(n_uavs=4, rates=0.5, seed=1)
         log, in_outages = [], []
-        outage, outages = OutageModel.outage, OutageModel.outages
+        outage, outages, batch = OutageModel.outage, OutageModel.outages, OutageModel.batch_outages
 
         def counted_outage(self, *args):
             if not in_outages:
                 log.append("o")
             return outage(self, *args)
 
-        def marked_outages(self, *args):
-            log.append("|")
-            in_outages.append(True)
-            try:
-                return outages(self, *args)
-            finally:
-                in_outages.pop()
+        def marked(method):
+            def call(self, *args):
+                log.append("|")
+                in_outages.append(True)
+                try:
+                    return method(self, *args)
+                finally:
+                    in_outages.pop()
+            return call
 
         monkeypatch.setattr(OutageModel, "outage", counted_outage)
-        monkeypatch.setattr(OutageModel, "outages", marked_outages)
+        monkeypatch.setattr(OutageModel, "outages", marked(outages))
+        monkeypatch.setattr(OutageModel, "batch_outages", marked(batch))
         res = ruom(model, RuomParams())
-        # fairness calls go through outages(); an efficiency stage is a run
-        # of direct outage() calls between two of them
+        # fairness calls go through batch_outages() and each iteration ends
+        # with one outages(); an efficiency stage is a run of direct outage()
+        # calls between two of them
         stages = [len(run) for run in "".join(log).split("|") if run]
         assert len(stages) == res.iterations
         cap = max(link.max_ris_elements for link in model.links)
@@ -333,13 +349,14 @@ class TestRuom:
     def test_each_distinct_outage_scored_once(self, monkeypatch):
         # beta enters an outage only through the rank's binding SIC threshold,
         # so one solve evaluates each (rank, N, threshold) once; the model holds
-        # one Link per (rank, N), so (link, gamma) names the key
+        # one Link per (rank, N), so (link, gamma) names the key.  A call may
+        # pass an array of thresholds: each element counts as one evaluation
         model = _model(n_uavs=4, rates=0.5, seed=1)
         calls = []
         cdf = Link.cdf
 
         def counted_cdf(self, gamma):
-            calls.append((id(self), gamma))
+            calls.extend((id(self), g) for g in np.atleast_1d(gamma).tolist())
             return cdf(self, gamma)
 
         monkeypatch.setattr(Link, "cdf", counted_cdf)
@@ -387,8 +404,11 @@ class TestRuomParams:
             RuomParams(delta=0.0)
 
 
-# Final (beta, N, outages) of run_ruom_report on the first three drops of two
-# benchmark configs, as float.hex; the optimizer must reproduce them bit for bit.
+# Final (beta, N, outages) of run_ruom_report on drops of the three optimize
+# configs, as float.hex; the optimizer must reproduce them bit for bit.  The
+# p24 drops and p30 drop 5 (two ranks with elements, a beta off the common
+# winner on p24 drop 4) were recorded before the fairness stage scored its
+# candidates in arrays.
 GOLDEN_RUOM = {
     ("ruom-m3-r1-p30", 0): (
         ("0x1.6c16c1628b65bp-1", "0x1.82d82f009e8bbp-3", "0x1.999996ea67bd9p-4"),
@@ -404,6 +424,21 @@ GOLDEN_RUOM = {
         ("0x1.6c16c1628b65bp-1", "0x1.82d82da9059d8p-3", "0x1.999999999999dp-4"),
         (213, 0, 0),
         ("0x1.038ed06ae5523p-10", "0x1.fb4a2e52d020bp-21", "0x1.7eef4bfedfe8ep-40"),
+    ),
+    ("ruom-m3-r1-p30", 5): (
+        ("0x1.6c16c1628b65bp-1", "0x1.82d82da9059d8p-3", "0x1.999999999999dp-4"),
+        (1024, 1, 0),
+        ("0x1.fdb2812c1c66fp-8", "0x1.dc8f89fafe195p-11", "0x1.0ea36e1d879fcp-21"),
+    ),
+    ("ruom-m3-r1-p24", 2): (
+        ("0x1.6c16c1628b65bp-1", "0x1.82d8b3e0c2a33p-3", "0x1.99988d2a1f8e7p-4"),
+        (627, 0, 0),
+        ("0x1.05abdccfc50c2p-10", "0x1.967b3671eddb2p-15", "0x1.6159df36d5855p-31"),
+    ),
+    ("ruom-m3-r1-p24", 4): (
+        ("0x1.666666666666ap-1", "0x1.b05b058a2d962p-3", "0x1.6c16c1b871a13p-4"),
+        (1024, 1024, 0),
+        ("0x1.d8619f4f6b169p-10", "0x1.4093db7b7060ep-9", "0x1.9fe891c998c62p-15"),
     ),
     ("ruom-m4-r05-p30", 0): (
         ("0x1.a4fa4ee61720fp-2", "0x1.27d27d3ae9354p-2", "0x1.82d82f009e8bbp-3",
