@@ -329,6 +329,23 @@ def test_scalar_sweep_mc_golden_floats(tmp_path, key):
     assert got == GOLDEN_SCALAR_SWEEP_MC[key]
 
 
+# outage_analytic column (as float.hex) of sweep-links at the benchmark's
+# config on drops 0-2 ("fitted") and, with channel.m_direct: 1.5 and
+# m_hops: 2.0, on drop 0 ("pinned"); keyed "<fitted|pinned>/<drop>".
+GOLDEN_SWEEP_LINKS = json.loads(
+    (Path(__file__).resolve().parent / "golden_sweep_links.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SWEEP_LINKS))
+def test_sweep_links_golden_floats(tmp_path, key):
+    fading, drop = key.split("/")
+    cfg = load_config(BENCH_CONFIGS / "sweep-links.yaml")
+    if fading == "pinned":
+        cfg = dataclasses.replace(cfg, channel=expcli.ChannelBlock(m_direct=1.5, m_hops=2.0))
+    got = [float(row[4]).hex() for row in expcli.run_sweep_links(cfg, int(drop), tmp_path, False)]
+    assert got == GOLDEN_SWEEP_LINKS[key]
+
+
 class TestRuomCommand:
     def test_lambda_grid_report(self, tmp_path):
         text = FAST_YAML + "ruom:\n  lambdas: [0.1, 0.5]\n  delta: 1.0e-3\n"

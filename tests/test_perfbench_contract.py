@@ -42,6 +42,19 @@ def test_every_curves_op_passes_its_checks(wl, tmp_path):
         assert wl.check(op, result) == [], op
 
 
+# sha256 of the result files of the curves seed-1 plan, as perfbench/run.py
+# prints it; a declared change to the output re-records it.
+CURVES_SEED1_DIGEST = "ae861aa173bc7af8dff06234ee0f2fcc9b19b935439f2d8380b29cfa85a8ecd5"
+
+
+def test_curves_plan_digest(wl, tmp_path):
+    chunks = []
+    for op in wl.plan("curves", 1, wl.load_configs("curves")):
+        wl.run_op(op, tmp_path)
+        chunks.append(wl.result_bytes(op, tmp_path))
+    assert wl.digest(chunks) == CURVES_SEED1_DIGEST
+
+
 def test_every_mc_check_op_passes_its_checks(wl, tmp_path):
     # the MC columns and MC-based checks each op writes, against their bounds
     plan = wl.plan("mc-check", 1, wl.load_configs("mc-check"))
