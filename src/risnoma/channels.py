@@ -229,16 +229,33 @@ def composite_snr_cdf_quadrature(fit, direct: NakagamiParams, budget: LinkBudget
     return float(out) if np.ndim(out) == 0 else out
 
 
+@functools.lru_cache(maxsize=None)
+def _psi_terms(n: int):
+    """The psi-term constants of x^n, which depend only on n = 2 m3 - 1: term
+    i has k = (i+1)/2.  Returns the binomials, k as a tuple and as a column,
+    and Gamma(k) as a column and as a tuple; every closed form with this n
+    shares them, so none of them can be written to."""
+    ks = tuple((i + 1) / 2.0 for i in range(n + 1))
+    ks_col = np.array(ks)[:, None]
+    gamma_k = _sp.gamma(ks_col)
+    ks_col.setflags(write=False)
+    gamma_k.setflags(write=False)
+    binom = tuple(binomial(n, i) for i in range(n + 1))
+    return binom, ks, ks_col, gamma_k, tuple(gamma_k[:, 0].tolist())
+
+
 class _ClosedForm:
-    """composite_snr_cdf_closed for one (fit, direct, budget): its
-    gamma-independent constants, and the closed form at a scalar gamma.
+    """composite_snr_cdf_closed for one (fit, direct, amp_direct, amp_ris): its
+    constants that depend on neither gamma nor gamma_bar_c, and the closed
+    form at a list of gammas for a given gamma_bar_c.
 
     Every expression is the one the closed form has always evaluated, in the
     same order and with the same Python or scipy.special call, so a value has
     the same bits whichever gammas it is evaluated with.
     """
 
-    def __init__(self, fit: LaguerreFit, direct: NakagamiParams, budget: LinkBudget):
+    def __init__(self, fit: LaguerreFit, direct: NakagamiParams, amp_direct: float,
+                 amp_ris: float):
         two_m3 = 2.0 * direct.m
         if abs(two_m3 - round(two_m3)) > 1e-6:
             raise ValueError(
@@ -246,30 +263,30 @@ class _ClosedForm:
             )
         n = self.n_pow = int(round(two_m3)) - 1
         m3 = self.m3 = direct.m
-        om3 = direct.omega
-        self.gamma_bar_c = budget.gamma_bar_c
-        self.direct_scale = om3 * budget.gamma_bar_d  # direct_snr_cdf's gamma scale
+        om3 = self.om3 = direct.omega
+        self.amp_direct = amp_direct
         self.z_norm = q_function(-math.sqrt(fit.a))  # truncated-normal mass above zero
-        s_amp = budget.amp_ris * fit.sigma_sum  # std of the RIS term in the amplitude domain
-        self.mean_amp = budget.amp_ris * fit.mean_sum
+        s_amp = amp_ris * fit.sigma_sum  # std of the RIS term in the amplitude domain
+        self.mean_amp = amp_ris * fit.mean_sum
         self.two_var = 2.0 * s_amp**2
-        self.lam = m3 / (om3 * budget.amp_direct**2)
+        self.lam = m3 / (om3 * amp_direct**2)
         self.c1 = self.lam + 1.0 / self.two_var
         # (1 - 1/Z) F_d computed as -(Q(sqrt a)/Z) F_d to dodge cancellation.
         self.fd_coef = -(q_function(math.sqrt(fit.a)) / self.z_norm)
         self.scale = self.lam**m3 / (self.z_norm * gamma_fn(m3))
-        # psi term i has k = (i+1)/2: its binomial, 2 c1^k and Gamma(k)
-        ks = [(i + 1) / 2.0 for i in range(n + 1)]
-        self.binom = [binomial(n, i) for i in range(n + 1)]
+        # psi term i: its binomial, 2 c1^k and Gamma(k)
+        self.binom, ks, self.ks, self.gamma_k, self.gk = _psi_terms(n)
         self.two_c1k = [2.0 * self.c1**k for k in ks]
-        self.ks = np.array(ks)[:, None]
-        self.gamma_k = _sp.gamma(self.ks)
-        self.gk = self.gamma_k[:, 0].tolist()
 
-    def __call__(self, gamma: float) -> float:
+    def __call__(self, gammas, gamma_bar_c: float) -> list:
+        # direct_snr_cdf's gamma scale, Omega3 gamma_bar_d
+        direct_scale = self.om3 * (gamma_bar_c * self.amp_direct**2)
+        return [self._at(g, gamma_bar_c, direct_scale) for g in gammas]
+
+    def _at(self, gamma: float, gamma_bar_c: float, direct_scale: float) -> float:
         if gamma == 0.0:
             return 0.0
-        big_t = math.sqrt(gamma / self.gamma_bar_c)
+        big_t = math.sqrt(gamma / gamma_bar_c)
         m_split = big_t - self.mean_amp  # direct amplitude at the branch point
         c1 = self.c1
         c2 = m_split / self.two_var
@@ -277,7 +294,7 @@ class _ClosedForm:
         mu = c2 / c1
         pref = math.exp(c2 * c2 / c1 - c3)
 
-        f_d = float(_sp.gammainc(self.m3, self.m3 * gamma / self.direct_scale))
+        f_d = float(_sp.gammainc(self.m3, self.m3 * gamma / direct_scale))
         val = self.fd_coef * f_d
         # Gamma(k_i, c1 (p - mu)^2) of every psi term at every interval end p,
         # in one ufunc call
@@ -334,15 +351,17 @@ def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, ga
     fitted direct shape to the nearest half-integer before invoking it.
     The value is clamped to [0, 1].  A scalar gamma gives a float; an array
     gives an ndarray of the scalar values, bit for bit.  The constants that
-    do not depend on gamma are computed once per (fit, direct, budget).
+    depend on neither gamma nor the transmit SNR are computed once per (fit,
+    direct, amp_direct, amp_ris), so the links of one UAV at every transmit
+    power share them; gamma_bar_c is passed when they are evaluated.
     """
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     if fit is None:
         return direct_snr_cdf(direct, budget.gamma_bar_d, gamma)
-    form = _closed_form(fit, direct, budget)
+    form = _closed_form(fit, direct, budget.amp_direct, budget.amp_ris)
     if np.ndim(gamma) == 0:
-        return form(float(gamma))
-    return np.array([form(g) for g in gamma.ravel().tolist()]).reshape(gamma.shape)
+        return form((float(gamma),), budget.gamma_bar_c)[0]
+    return np.array(form(gamma.ravel().tolist(), budget.gamma_bar_c)).reshape(gamma.shape)
 
 
 def _half_integer_m(p: NakagamiParams) -> NakagamiParams:

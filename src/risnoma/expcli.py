@@ -25,7 +25,14 @@ import yaml
 from . import __version__
 from .channels import LINK_KINDS, Link, composite_snr_cdf_quadrature, resolve_links
 from .environment import EnvironmentParams, ScenarioConfig, generate_scenario, transmit_snr
-from .noma import OutageModel, PowerAllocation, _sic_margins, _sic_phis, ordered_cdf
+from .noma import (
+    OutageModel,
+    PowerAllocation,
+    _sic_margins,
+    _sic_phis,
+    ordered_cdf,
+    rank_outages,
+)
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
 from .sim_oracle import McConfig, mc_noma_outage, mc_snr_cdf
 
@@ -411,9 +418,11 @@ def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
 def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled: bool):
     """Outage versus RIS element count for direct, RIS-only and composite links.
 
-    With MC on, one run covers the sweep: one point per (N, kind) cell, so
-    each rank draws one family, every distinct link of its UAV over the grid
-    and the link kinds, and all cells share common random numbers.
+    Each rank's analytic curve over the grid is one OutageModel.curve call
+    per link kind.  With MC on, one run covers the sweep: one point per (N,
+    kind) cell, so each rank draws one family, every distinct link of its
+    UAV over the grid and the link kinds, and all cells share common random
+    numbers.
     """
     _require_sweep_variable(cfg, "n_elements")
     links = _resolved_links(cfg, seed)
@@ -427,17 +436,23 @@ def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled:
     if mc_enabled:
         points = [_mc_point(models[lt], alloc, n) for n, lt in cells]
         mc.update(zip(cells, mc_noma_outage(points, cfg.mc.config(0))))
+    # each rank's curve over the grid, one kind at a time
+    analytic = {}
+    for link_type in LINK_KINDS:
+        grid = [n for n, lt in cells if lt == link_type]
+        for rank in ranks:
+            outs = models[link_type].curve(rank, alloc, grid)
+            analytic.update(((n, link_type, rank), out) for n, out in zip(grid, outs))
     rows = []
     for n_val in cfg.sweep.grid:
         for link_type in LINK_KINDS:
-            model = models[link_type]
             for rank in ranks:
                 if link_type == "ris" and n_val == 0:  # certain outage
                     rows.append(("n_elements", n_val, rank, link_type, 1.0, None, None))
                     continue
-                analytic = model.outage(rank, alloc, n_val)
                 cell = _mc_cell(mc[n_val, link_type][rank - 1])
-                rows.append(("n_elements", n_val, rank, link_type, analytic, *cell))
+                rows.append(("n_elements", n_val, rank, link_type,
+                             analytic[n_val, link_type, rank], *cell))
     _write_csv(out_dir / "sweep_links.csv", SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
     return rows
@@ -451,12 +466,14 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
     gamma_bar_c = P_t / P_N, the one link constant transmit power enters.
     With MC on, one run scores every point from one draw per rank, so the
     points share their random numbers and, at fixed beta, the MC columns are
-    monotone in the swept variable.
+    monotone in the swept variable.  The analytic column is scored one rank
+    at a time: the rate points' thresholds go through the rank's link in one
+    array call, and the points of a rank through one ordered_cdf call.
     """
     _require_sweep_variable(cfg, variable)
     drop = _resolved_links(cfg, seed)
     n_val = int(cfg.sweep.fixed_n_elements)
-    points, analytic = [], []
+    points, thresholds = [], []
     for value in cfg.sweep.grid:
         links, rate = drop, cfg.sweep.fixed_target_rate
         if variable == "tx_power_dbm":
@@ -467,7 +484,17 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
         model = OutageModel(links, tuple(rate for _ in links), link_type="composite")
         alloc = _allocation(cfg, model)
         points.append(_mc_point(model, alloc, n_val))
-        analytic.append([model.outage(rank, alloc, n_val) for rank in range(1, model.m_users + 1)])
+        thresholds.append(model.thresholds(alloc))
+    per_rank = []
+    for rank in range(1, len(drop) + 1):
+        rank_links = [links[rank - 1] for links, _, _ in points]
+        rank_thresholds = [t[rank - 1] for t in thresholds]
+        if variable == "tx_power_dbm":
+            groups = [(link, (t,)) for link, t in zip(rank_links, rank_thresholds)]
+        else:  # every rate point has the same links
+            groups = [(rank_links[0], rank_thresholds)]
+        per_rank.append(rank_outages(rank, len(drop), groups))
+    analytic = list(zip(*per_rank))
     mc = [[None] * len(drop)] * len(points)
     if mc_enabled:
         mc = mc_noma_outage(points, cfg.mc.config(0))
@@ -572,7 +599,7 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     _check(report, "ris_cdf_vs_mc", float(np.max(np.abs(ris.cdf(ris_grid) - ris_mc.values))),
            tols.ris_cdf_abs_tol + ris_mc.halfwidth)
     quad_vals = composite_snr_cdf_quadrature(comp.fit, comp.direct, budget, comp_grid)
-    closed_vals = np.array([comp.cdf(g) for g in comp_grid])
+    closed_vals = comp.cdf(comp_grid)
     _check(report, "composite_closed_vs_quadrature",
            float(np.max(np.abs(closed_vals - quad_vals))), tols.closed_vs_quadrature_tol)
     _check(report, "composite_quadrature_vs_mc",

@@ -23,6 +23,7 @@ __all__ = [
     "decode_rate",
     "sic_thresholds",
     "ordered_cdf",
+    "rank_outages",
     "OutageModel",
 ]
 
@@ -148,6 +149,16 @@ def ordered_cdf(parent_cdf_value, m: int, total: int):
     return out[0] if f.ndim == 0 else np.array(out).reshape(f.shape)
 
 
+def rank_outages(rank: int, total: int, points):
+    """Outage of rank `rank` of `total` at a list of (link, thresholds)
+    points, in order: the ordered CDF of the link's CDF at each of its binding
+    SIC thresholds.  Each link's CDF is one array call and ordered_cdf one call
+    over all the points; both give every value the bits of a scalar call."""
+    parent = np.concatenate([link.cdf(np.array(thresholds, dtype=float))
+                             for link, thresholds in points])
+    return ordered_cdf(parent, rank, total).tolist()
+
+
 class OutageModel:
     """Per-rank outage evaluator over resolved links of one scenario.
 
@@ -159,8 +170,9 @@ class OutageModel:
     so the model keeps every allocation's thresholds and every (rank, N,
     threshold) score it has computed, and computes each once.  Scores are
     computed a rank at a time: the thresholds not seen before go through the
-    link CDF and ordered_cdf in one array call each, which gives every
-    element the bits a scalar call gives it.
+    link CDF and ordered_cdf in one array call each, and the element counts
+    of a curve not seen before through one ordered_cdf call, which gives
+    every element the bits a scalar call gives it.
     """
 
     def __init__(self, links, rates, link_type: str):
@@ -188,16 +200,26 @@ class OutageModel:
     def outage(self, rank: int, alloc: PowerAllocation, n_elements: int) -> float:
         """Outage of the given rank: the ordered CDF of its link at the binding
         SIC threshold.  An infeasible allocation raises InfeasibleAllocationError."""
-        thresholds = self._thresholds.get(alloc.beta)
-        if thresholds is None or not 1 <= rank <= self.m_users:
-            _, gamma_mlb = sic_thresholds(alloc, self.rates, rank)
-        else:
-            gamma_mlb = thresholds[rank - 1]
-        return self._rank_outages(rank, n_elements, (gamma_mlb,))[0]
+        return self._rank_outages(rank, n_elements, (self._threshold(rank, alloc),))[0]
+
+    def curve(self, rank: int, alloc: PowerAllocation, n_grid):
+        """outage(rank, alloc, n) at every n of n_grid, bit for bit; the element
+        counts not scored before are scored in one ordered_cdf call."""
+        gamma_mlb = self._threshold(rank, alloc)
+        if self.link_type == "direct":
+            n_grid = [0] * len(n_grid)  # the direct link is the same at every N
+        new = [n for n in dict.fromkeys(n_grid)
+               if gamma_mlb not in self._scores.get((rank, n), ())]
+        if new:
+            outs = rank_outages(rank, self.m_users,
+                                [(self.link(rank, n), (gamma_mlb,)) for n in new])
+            for n, out in zip(new, outs):
+                self._scores.setdefault((rank, n), {})[gamma_mlb] = out
+        return [self._scores[rank, n][gamma_mlb] for n in n_grid]
 
     def outages(self, alloc: PowerAllocation, n_per_rank):
         """Outage of every rank, from one pass over the SIC thresholds."""
-        thresholds = self._binding_thresholds(alloc)
+        thresholds = self.thresholds(alloc)
         return [
             self._rank_outages(m, int(n_per_rank[m - 1]), (thresholds[m - 1],))[0]
             for m in range(1, self.m_users + 1)
@@ -206,14 +228,14 @@ class OutageModel:
     def batch_outages(self, allocs, n_per_rank):
         """outages(alloc, n_per_rank) of each allocation, bit for bit, scored
         one rank at a time over the whole batch."""
-        thresholds = [self._binding_thresholds(alloc) for alloc in allocs]
+        thresholds = [self.thresholds(alloc) for alloc in allocs]
         per_rank = [
             self._rank_outages(m, int(n_per_rank[m - 1]), [t[m - 1] for t in thresholds])
             for m in range(1, self.m_users + 1)
         ]
         return [list(outs) for outs in zip(*per_rank)]
 
-    def _binding_thresholds(self, alloc: PowerAllocation):
+    def thresholds(self, alloc: PowerAllocation):
         """Binding SIC threshold of every rank under alloc, computed once per beta."""
         out = self._thresholds.get(alloc.beta)
         if out is None:
@@ -223,6 +245,18 @@ class OutageModel:
             ]
         return out
 
+    def _threshold(self, rank: int, alloc: PowerAllocation) -> float:
+        """Binding SIC threshold of one rank; an allocation that breaks SIC only
+        above the rank still serves it."""
+        if not 1 <= rank <= self.m_users:
+            raise ValueError("rank out of range")
+        try:
+            return self.thresholds(alloc)[rank - 1]
+        except InfeasibleAllocationError as exc:
+            if exc.rank_j <= rank:
+                raise
+        return sic_thresholds(alloc, self.rates, rank)[1]
+
     def _rank_outages(self, rank: int, n_elements: int, thresholds):
         """Ordered CDF of the rank's link at each threshold; the thresholds
         not scored before are scored in one array pass."""
@@ -231,6 +265,6 @@ class OutageModel:
         scores = self._scores.setdefault((rank, n_elements), {})
         new = [g for g in dict.fromkeys(thresholds) if g not in scores]
         if new:
-            parent = self.link(rank, n_elements).cdf(np.array(new))
-            scores.update(zip(new, ordered_cdf(parent, rank, self.m_users).tolist()))
+            link = self.link(rank, n_elements)
+            scores.update(zip(new, rank_outages(rank, self.m_users, [(link, new)])))
         return [scores[g] for g in thresholds]

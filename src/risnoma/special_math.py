@@ -19,7 +19,6 @@ from scipy import special as _sp
 
 __all__ = [
     "gamma",
-    "upper_inc_gamma",
     "reg_lower_inc_gamma",
     "q_function",
     "binomial",
@@ -55,13 +54,6 @@ def _check_inc_domain(s, x):
     _checked(x, lambda v: v < 0.0, "incomplete gamma requires x >= 0")
 
 
-def upper_inc_gamma(s, x):
-    """Unregularized upper incomplete gamma: integral of t^(s-1) e^-t over [x, inf)."""
-    _check_inc_domain(s, x)
-    out = _sp.gammaincc(s, x) * _sp.gamma(s)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def reg_lower_inc_gamma(s, x):
     """Regularized lower incomplete gamma P(s, x); stable for very large s."""
     _check_inc_domain(s, x)
@@ -71,6 +63,8 @@ def reg_lower_inc_gamma(s, x):
 
 def q_function(x):
     """Standard normal tail probability Q(x) = P(Z > x)."""
+    if isinstance(x, float):
+        return float(0.5 * _sp.erfc(x / math.sqrt(2.0)))
     out = 0.5 * _sp.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(out) if np.ndim(out) == 0 else out
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from risnoma import environment, expcli
+from risnoma import channels, environment, expcli
 from risnoma.channels import (
     LINK_KINDS,
     LaguerreFit,
@@ -550,6 +550,30 @@ class TestCompositeClosed:
         fit = link.laguerre(16)
         clamped = composite_snr_cdf_closed(fit, link.direct_fading, link.budget(), 1e-9)
         assert 0.0 <= clamped <= 1.0
+
+    def test_transmit_powers_share_one_constant_set(self):
+        # the constants depend on the amplitudes, not on gamma_bar_c, so the
+        # budgets of one link at several powers build them once, and each
+        # power's values keep their bits whichever power came first
+        link = _table_i_link()
+        fit, direct = link.laguerre(64), link.rounded_direct()
+        budgets = [dataclasses.replace(link, gamma_bar_c=transmit_snr(p, 4.0e7, 300.0)).budget()
+                   for p in (30.0, 35.0, 40.0)]
+        amp_mean = budgets[0].amp_ris * fit.mean_sum + budgets[0].amp_direct
+        grid = np.linspace(0.0, 3.0, 9) * budgets[1].gamma_bar_c * amp_mean**2
+
+        def values(order):
+            channels._closed_form.cache_clear()
+            out = {i: composite_snr_cdf_closed(fit, direct, budgets[i], grid).tolist()
+                   for i in order}
+            return [out[i] for i in range(len(budgets))], channels._closed_form.cache_info()
+
+        forward, info = values((0, 1, 2))
+        backward, _ = values((2, 1, 0))
+        assert (info.misses, info.hits) == (1, 2)
+        assert [[v.hex() for v in vals] for vals in forward] == [
+            [v.hex() for v in vals] for vals in backward]
+        assert forward[0] != forward[1] != forward[2]
 
 
 # Each UAV's link from resolve_links on drops 0-9 of the default scenario, with

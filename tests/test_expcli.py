@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 import yaml
 
-from risnoma import expcli, sim_oracle
+from risnoma import channels, expcli, noma, sim_oracle
+from risnoma.channels import LINK_KINDS, Link
+from risnoma.environment import transmit_snr
 from risnoma.expcli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -23,6 +25,7 @@ from risnoma.expcli import (
     load_config,
     main,
 )
+from risnoma.noma import OutageModel, ordered_cdf, sic_thresholds
 
 FAST_YAML = """
 seed: 7
@@ -526,6 +529,73 @@ class TestCliErrors:
         cfg = _write(tmp_path, FAST_YAML.replace(*edit) if edit else FAST_YAML)
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path), *argv]) == EXIT_CONFIG
         assert f"config error: {key} must be an integer >= 0" in capsys.readouterr().err
+
+
+class TestCurveScoring:
+    """The sweeps score each rank's curve in one pass, with the floats of
+    per-point scoring."""
+
+    @staticmethod
+    def _config(name):
+        return load_config(BENCH_CONFIGS / f"{name}.yaml")
+
+    def test_power_point_is_link_cdf_on_the_replaced_link(self, tmp_path):
+        cfg = self._config("sweep-power")
+        rows = expcli.run_sweep_power(cfg, 1, tmp_path, False)
+        drop = expcli._resolved_links(cfg, 1)
+        rates = (cfg.sweep.fixed_target_rate,) * len(drop)
+        n_val = cfg.sweep.fixed_n_elements
+        expected = []
+        for power in cfg.sweep.grid:
+            gamma_bar_c = transmit_snr(power, cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
+            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in drop]
+            model = OutageModel(links, rates, "composite")
+            alloc = expcli._allocation(cfg, model)
+            for rank in range(1, len(links) + 1):
+                _, theta = sic_thresholds(alloc, rates, rank)
+                parent = model.link(rank, n_val).cdf(theta)
+                expected.append(ordered_cdf(parent, rank, len(links)).hex())
+        assert [row[4].hex() for row in rows] == expected
+
+    def test_sweep_power_builds_one_constant_set_per_rank(self, tmp_path):
+        cfg = self._config("sweep-power")
+        channels._closed_form.cache_clear()
+        expcli.run_sweep_power(cfg, 1, tmp_path, False)
+        assert channels._closed_form.cache_info().misses == cfg.scenario.n_uavs
+
+    def test_sweep_rate_scores_each_rank_in_one_cdf_call(self, tmp_path, monkeypatch):
+        calls = []
+        cdf = Link.cdf
+
+        def counted_cdf(self, gamma):
+            calls.append(np.size(gamma))
+            return cdf(self, gamma)
+
+        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        cfg = self._config("sweep-rate")
+        expcli.run_sweep_rate(cfg, 1, tmp_path, False)
+        assert calls == [len(cfg.sweep.grid)] * cfg.scenario.n_uavs
+
+    @pytest.mark.parametrize("name, runner, models", [
+        ("sweep-links", expcli.run_sweep_links, len(LINK_KINDS)),
+        ("sweep-power", expcli.run_sweep_power, None),
+        ("sweep-rate", expcli.run_sweep_rate, None),
+    ])
+    def test_sic_thresholds_once_per_model_and_beta(self, tmp_path, monkeypatch, name, runner,
+                                                    models):
+        # sweep-links builds one model per link kind, a scalar sweep one per
+        # grid point; each computes the thresholds of its one beta once
+        calls = []
+        counted = noma.sic_thresholds
+
+        def thresholds(alloc, rates, m):
+            calls.append(m)
+            return counted(alloc, rates, m)
+
+        monkeypatch.setattr(noma, "sic_thresholds", thresholds)
+        cfg = self._config(name)
+        runner(cfg, 1, tmp_path, False)
+        assert len(calls) == (models or len(cfg.sweep.grid))
 
 
 class TestMcCalls:

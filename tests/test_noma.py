@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from risnoma import noma
 from risnoma.channels import LINK_KINDS, Link, LinkChannel, NakagamiParams, resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import (
@@ -427,3 +428,80 @@ class TestOutagesMemo:
         with pytest.raises(InfeasibleAllocationError) as together:
             model.outages(alloc, (0, 0, 0))
         assert single.value.rank_j == together.value.rank_j == 2
+
+
+DEFAULT_N_GRID = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+class TestCurve:
+    """curve() gives a rank's outage at every N of a grid with one ordered_cdf
+    call; its floats are the ones per-N outage() calls on a fresh model give."""
+
+    RATES = (0.5, 0.5, 0.5)
+
+    def _model(self, link_type):
+        scen = generate_scenario(ScenarioConfig(), 2)  # LoS-fitted, m3 not a half-integer
+        return OutageModel(resolve_links(EnvironmentParams(), scen), self.RATES, link_type)
+
+    @pytest.mark.parametrize("link_type", LINK_KINDS)
+    def test_curve_equals_outage_at_every_n(self, link_type):
+        grid = [n for n in DEFAULT_N_GRID if link_type != "ris" or n > 0]
+        for alloc in _feasible_allocations(self.RATES, 3, seed=4):
+            for rank in (1, 2, 3):
+                curve = self._model(link_type).curve(rank, alloc, grid)
+                fresh = self._model(link_type)
+                single = [fresh.outage(rank, alloc, n) for n in grid]
+                assert [x.hex() for x in curve] == [x.hex() for x in single]
+
+    def test_composite_at_zero_elements_is_direct(self):
+        alloc = _feasible_allocations(self.RATES, 1, seed=9)[0]
+        for rank in (1, 2, 3):
+            at_zero = self._model("composite").curve(rank, alloc, DEFAULT_N_GRID)[0]
+            assert at_zero.hex() == self._model("direct").outage(rank, alloc, 0).hex()
+
+    def test_one_ordered_cdf_call_per_curve(self, monkeypatch):
+        sizes = []
+        counted = noma.ordered_cdf
+
+        def ordered(parent, m, total):
+            sizes.append(np.size(parent))
+            return counted(parent, m, total)
+
+        monkeypatch.setattr(noma, "ordered_cdf", ordered)
+        alloc = _feasible_allocations(self.RATES, 1, seed=9)[0]
+        model, direct = self._model("composite"), self._model("direct")
+        model.outage(1, alloc, 64)
+        sizes.clear()
+        model.curve(1, alloc, DEFAULT_N_GRID + DEFAULT_N_GRID)
+        assert sizes == [len(DEFAULT_N_GRID) - 1]  # N = 64 was scored before
+        sizes.clear()
+        model.curve(1, alloc, DEFAULT_N_GRID)
+        direct.curve(2, alloc, DEFAULT_N_GRID)
+        assert sizes == [1]  # the direct link is the same at every N
+
+    def test_sic_thresholds_once_per_beta(self, monkeypatch):
+        calls = []
+        counted = noma.sic_thresholds
+
+        def thresholds(alloc, rates, m):
+            calls.append(alloc.beta)
+            return counted(alloc, rates, m)
+
+        monkeypatch.setattr(noma, "sic_thresholds", thresholds)
+        allocs = _feasible_allocations(self.RATES, 2, seed=9)
+        model = self._model("composite")
+        for alloc in allocs + allocs:
+            for rank in (1, 2, 3):
+                model.outage(rank, alloc, 64)
+                model.curve(rank, alloc, DEFAULT_N_GRID)
+            model.outages(alloc, (64, 1, 0))
+        assert calls == [a.beta for a in allocs]
+
+    def test_rank_below_an_infeasible_rank_is_served(self):
+        # at 2 bpc rank 1 decodes (0.8 > 3 * 0.2) but rank 2 does not (0.12 < 3 * 0.08)
+        model = OutageModel(self._model("composite").links, (2.0, 2.0, 2.0), "composite")
+        alloc = PowerAllocation((0.8, 0.12, 0.08))
+        assert model.curve(1, alloc, (0, 64)) == [model.outage(1, alloc, n) for n in (0, 64)]
+        with pytest.raises(InfeasibleAllocationError) as exc:
+            model.curve(2, alloc, (0, 64))
+        assert exc.value.rank_j == 2
