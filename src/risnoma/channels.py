@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as _sp
@@ -28,7 +28,6 @@ from scipy import special as _sp
 from . import environment as env_mod
 from .special_math import (
     _checked,
-    binomial,
     gamma as gamma_fn,
     q_function,
     reg_lower_inc_gamma,
@@ -205,12 +204,9 @@ def composite_snr_cdf_quadrature(fit, direct: NakagamiParams, budget: LinkBudget
     by a fixed-node Gauss-Legendre rule: every gamma gets the same number of
     panels, laid out around the step of F_S, so an array of gamma is
     evaluated in one pass.  A scalar gamma gives a float, an array an
-    ndarray; nothing is raised beyond the gamma >= 0 domain check.  With
-    fit=None (no RIS term) this degenerates to the direct CDF.
+    ndarray; nothing is raised beyond the gamma >= 0 domain check.
     """
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
-    if fit is None:
-        return direct_snr_cdf(direct, budget.gamma_bar_d, gamma)
     amp_r = budget.amp_ris
     big_t = np.sqrt(np.asarray(gamma, dtype=float) / budget.gamma_bar_c)[..., None]
     s_edges = np.concatenate([
@@ -240,7 +236,7 @@ def _psi_terms(n: int):
     gamma_k = _sp.gamma(ks_col)
     ks_col.setflags(write=False)
     gamma_k.setflags(write=False)
-    binom = tuple(binomial(n, i) for i in range(n + 1))
+    binom = tuple(math.comb(n, i) for i in range(n + 1))
     return binom, ks, ks_col, gamma_k, tuple(gamma_k[:, 0].tolist())
 
 
@@ -356,8 +352,6 @@ def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, ga
     power share them; gamma_bar_c is passed when they are evaluated.
     """
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
-    if fit is None:
-        return direct_snr_cdf(direct, budget.gamma_bar_d, gamma)
     form = _closed_form(fit, direct, budget.amp_direct, budget.amp_ris)
     if np.ndim(gamma) == 0:
         return form((float(gamma),), budget.gamma_bar_c)[0]
@@ -414,6 +408,8 @@ class LinkChannel:
     amp_ris: float
     gamma_bar_c: float
     max_ris_elements: int
+    # link() memo: (kind, n_elements) -> Link
+    _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def gamma_bar_d(self) -> float:
@@ -430,8 +426,6 @@ class LinkChannel:
         return RisLinkParams(hop_g2r=self.hop_g2r, hop_r2a=self.hop_r2a, n_elements=n_elements)
 
     def laguerre(self, n_elements: int):
-        if n_elements == 0:
-            return None
         return fit_laguerre(self.ris_params(n_elements))
 
     def rounded_direct(self) -> NakagamiParams:
@@ -443,16 +437,21 @@ class LinkChannel:
         """The link of one of LINK_KINDS through n_elements RIS elements.
 
         A composite link with zero elements is exactly the direct link; a
-        RIS-only link with zero elements does not exist.
+        RIS-only link with zero elements does not exist.  Each link is built
+        once per channel, so equal links of a channel are one object.
         """
         if kind not in LINK_KINDS:
             raise ValueError(f"unknown link type {kind!r}")
         if kind == "ris" and n_elements < 1:
             raise ValueError("RIS-only link needs at least one element")
         if kind == "direct" or n_elements == 0:
-            return Link(self.direct_fading, None, self.budget())
-        direct = None if kind == "ris" else self.direct_fading
-        return Link(direct, self.ris_params(n_elements), self.budget())
+            kind, n_elements = "direct", 0
+        key = (kind, n_elements)
+        if key not in self._links:
+            direct = None if kind == "ris" else self.direct_fading
+            ris = None if kind == "direct" else self.ris_params(n_elements)
+            self._links[key] = Link(direct, ris, self.budget())
+        return self._links[key]
 
 
 def resolve_links(

@@ -31,7 +31,7 @@ from .noma import (
     _sic_margins,
     _sic_phis,
     ordered_cdf,
-    rank_outages,
+    point_outages,
 )
 from .ruom import NoFeasibleAllocationError, RuomParams, ruom
 from .sim_oracle import McConfig, mc_noma_outage, mc_snr_cdf
@@ -235,17 +235,8 @@ class ExperimentConfig:
         _check_seed("seed", self.seed)
 
 
-_BLOCK_TYPES = {
-    "scenario": ScenarioConfig,
-    "environment": EnvironmentParams,
-    "channel": ChannelBlock,
-    "noma": NomaBlock,
-    "sweep": SweepBlock,
-    "ruom": RuomBlock,
-    "mc": McBlock,
-    "validation": ValidateBlock,
-    "output": OutputBlock,
-}
+_BLOCK_TYPES = {f.name: f.default_factory
+                for f in dataclasses.fields(ExperimentConfig) if f.name != "seed"}
 
 
 def _check_type(key: str, default, value):
@@ -395,10 +386,10 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, seed: int):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _mc_point(model: OutageModel, alloc, n_elements: int):
-    """One mc_noma_outage operating point: every rank's link at n_elements."""
-    links = [model.link(rank, n_elements) for rank in range(1, model.m_users + 1)]
-    return links, alloc, model.rates
+def _point(model: OutageModel, alloc, n_elements: int, kind: str = "composite"):
+    """One operating point of point_outages and mc_noma_outage: every rank's
+    link of the given kind at n_elements."""
+    return [link.link(kind, n_elements) for link in model.links], alloc, model.rates
 
 
 def _mc_cell(est):
@@ -418,41 +409,25 @@ def _require_sweep_variable(cfg: ExperimentConfig, variable: str):
 def run_sweep_links(cfg: ExperimentConfig, seed: int, out_dir: Path, mc_enabled: bool):
     """Outage versus RIS element count for direct, RIS-only and composite links.
 
-    Each rank's analytic curve over the grid is one OutageModel.curve call
-    per link kind.  With MC on, one run covers the sweep: one point per (N,
-    kind) cell, so each rank draws one family, every distinct link of its
-    UAV over the grid and the link kinds, and all cells share common random
-    numbers.
+    One operating point per (N, kind) cell is scored by point_outages and,
+    with MC on, by one mc_noma_outage run: each rank draws one family, every
+    distinct link of its UAV over the grid and the link kinds, so all cells
+    share common random numbers.
     """
     _require_sweep_variable(cfg, "n_elements")
     links = _resolved_links(cfg, seed)
     rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
-    models = {lt: OutageModel(links, rates, link_type=lt) for lt in LINK_KINDS}
-    alloc = _allocation(cfg, models["composite"])
-    ranks = range(1, len(links) + 1)
-    # RIS-only at N = 0 has no path, so it gets no MC cell
+    model = OutageModel(links, rates, link_type="composite")
+    alloc = _allocation(cfg, model)
+    # RIS-only at N = 0 has no path: no point, and certain outage
     cells = [(n, lt) for n in cfg.sweep.grid for lt in LINK_KINDS if lt != "ris" or n > 0]
-    mc = dict.fromkeys(cells, [None] * len(links))
+    points = [_point(model, alloc, n, lt) for n, lt in cells]
+    analytic = {(0, "ris"): [1.0] * len(links), **dict(zip(cells, point_outages(points)))}
+    mc = dict.fromkeys(analytic, [None] * len(links))
     if mc_enabled:
-        points = [_mc_point(models[lt], alloc, n) for n, lt in cells]
         mc.update(zip(cells, mc_noma_outage(points, cfg.mc.config(0))))
-    # each rank's curve over the grid, one kind at a time
-    analytic = {}
-    for link_type in LINK_KINDS:
-        grid = [n for n, lt in cells if lt == link_type]
-        for rank in ranks:
-            outs = models[link_type].curve(rank, alloc, grid)
-            analytic.update(((n, link_type, rank), out) for n, out in zip(grid, outs))
-    rows = []
-    for n_val in cfg.sweep.grid:
-        for link_type in LINK_KINDS:
-            for rank in ranks:
-                if link_type == "ris" and n_val == 0:  # certain outage
-                    rows.append(("n_elements", n_val, rank, link_type, 1.0, None, None))
-                    continue
-                cell = _mc_cell(mc[n_val, link_type][rank - 1])
-                rows.append(("n_elements", n_val, rank, link_type,
-                             analytic[n_val, link_type, rank], *cell))
+    rows = [("n_elements", n, rank, lt, analytic[n, lt][rank - 1], *_mc_cell(mc[n, lt][rank - 1]))
+            for n in cfg.sweep.grid for lt in LINK_KINDS for rank in range(1, len(links) + 1)]
     _write_csv(out_dir / "sweep_links.csv", SWEEP_COLUMNS, rows)
     _write_manifest(out_dir, cfg, seed)
     return rows
@@ -466,14 +441,13 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
     gamma_bar_c = P_t / P_N, the one link constant transmit power enters.
     With MC on, one run scores every point from one draw per rank, so the
     points share their random numbers and, at fixed beta, the MC columns are
-    monotone in the swept variable.  The analytic column is scored one rank
-    at a time: the rate points' thresholds go through the rank's link in one
-    array call, and the points of a rank through one ordered_cdf call.
+    monotone in the swept variable.  point_outages scores the same points
+    for the analytic column.
     """
     _require_sweep_variable(cfg, variable)
     drop = _resolved_links(cfg, seed)
     n_val = int(cfg.sweep.fixed_n_elements)
-    points, thresholds = [], []
+    points = []
     for value in cfg.sweep.grid:
         links, rate = drop, cfg.sweep.fixed_target_rate
         if variable == "tx_power_dbm":
@@ -482,19 +456,8 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
         else:
             rate = float(value)
         model = OutageModel(links, tuple(rate for _ in links), link_type="composite")
-        alloc = _allocation(cfg, model)
-        points.append(_mc_point(model, alloc, n_val))
-        thresholds.append(model.thresholds(alloc))
-    per_rank = []
-    for rank in range(1, len(drop) + 1):
-        rank_links = [links[rank - 1] for links, _, _ in points]
-        rank_thresholds = [t[rank - 1] for t in thresholds]
-        if variable == "tx_power_dbm":
-            groups = [(link, (t,)) for link, t in zip(rank_links, rank_thresholds)]
-        else:  # every rate point has the same links
-            groups = [(rank_links[0], rank_thresholds)]
-        per_rank.append(rank_outages(rank, len(drop), groups))
-    analytic = list(zip(*per_rank))
+        points.append(_point(model, _allocation(cfg, model), n_val))
+    analytic = point_outages(points)
     mc = [[None] * len(drop)] * len(points)
     if mc_enabled:
         mc = mc_noma_outage(points, cfg.mc.config(0))
@@ -616,9 +579,9 @@ def validate(cfg: ExperimentConfig, seed: int, out_dir: Path):
     rates = tuple(cfg.sweep.fixed_target_rate for _ in links)
     model = OutageModel(links, rates, link_type="composite")
     alloc = _allocation(cfg, model)
-    n_fixed = int(cfg.sweep.fixed_n_elements)
-    analytic_out = model.outages(alloc, [n_fixed] * len(links))
-    [mc_out] = mc_noma_outage([_mc_point(model, alloc, n_fixed)], cfg.mc.config(3))
+    points = [_point(model, alloc, int(cfg.sweep.fixed_n_elements))]
+    [analytic_out] = point_outages(points)
+    [mc_out] = mc_noma_outage(points, cfg.mc.config(3))
     for rank, (a_val, est) in enumerate(zip(analytic_out, mc_out), start=1):
         if a_val >= 1e-2 or est.value >= 1e-2:
             _check(report, f"noma_outage_rank{rank}", abs(a_val - est.value),

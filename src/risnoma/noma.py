@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .special_math import _checked, binomial
+from .special_math import _checked
 
 __all__ = [
     "InfeasibleAllocationError",
@@ -23,7 +23,7 @@ __all__ = [
     "decode_rate",
     "sic_thresholds",
     "ordered_cdf",
-    "rank_outages",
+    "point_outages",
     "OutageModel",
 ]
 
@@ -118,11 +118,19 @@ def _binding_threshold(lbs, m: int, m_users: int) -> float:
     return lbs[m - 1] if m == m_users else max(lbs[:m])
 
 
+def _binding_thresholds(alloc: PowerAllocation, rates):
+    """Binding SIC threshold of every rank under alloc, from one sic_thresholds
+    pass; an allocation that breaks SIC at any rank raises."""
+    m_users = alloc.m_users
+    lbs, _ = sic_thresholds(alloc, rates, m_users)
+    return [_binding_threshold(lbs, m, m_users) for m in range(1, m_users + 1)]
+
+
 @functools.lru_cache(maxsize=None)
 def _ordered_terms(m: int, total: int):
     """ordered_cdf's sum as (coefficient, power) pairs, and its outer factor."""
-    terms = [(binomial(total - m, n) * (-1.0) ** n, m + n) for n in range(total - m + 1)]
-    return terms, m * binomial(total, m)
+    terms = [(math.comb(total - m, n) * (-1.0) ** n, m + n) for n in range(total - m + 1)]
+    return terms, m * math.comb(total, m)
 
 
 def ordered_cdf(parent_cdf_value, m: int, total: int):
@@ -149,18 +157,56 @@ def ordered_cdf(parent_cdf_value, m: int, total: int):
     return out[0] if f.ndim == 0 else np.array(out).reshape(f.shape)
 
 
-def rank_outages(rank: int, total: int, points):
-    """Outage of rank `rank` of `total` at a list of (link, thresholds)
-    points, in order: the ordered CDF of the link's CDF at each of its binding
-    SIC thresholds.  Each link's CDF is one array call and ordered_cdf one call
-    over all the points; both give every value the bits of a scalar call."""
-    parent = np.concatenate([link.cdf(np.array(thresholds, dtype=float))
-                             for link, thresholds in points])
-    return ordered_cdf(parent, rank, total).tolist()
+def _operating_points(points):
+    """points as a list of (links, alloc, rates) with rates a tuple of floats,
+    and the number of users M that every point must have."""
+    points = [(links, alloc, tuple(map(float, rates))) for links, alloc, rates in points]
+    m_users = len(points[0][0]) if points else 0
+    if any(len(links) != m_users or alloc.m_users != m_users or len(rates) != m_users
+           for links, alloc, rates in points):
+        raise ValueError("every point needs one link and target rate per user")
+    return points, m_users
+
+
+def _rank_groups(points, rank: int):
+    """Indices of _operating_points by rank's link, then by (beta, rates), so
+    that each link and each of its operating points is scored once."""
+    groups = {}
+    for k, (links, alloc, rates) in enumerate(points):
+        groups.setdefault(links[rank - 1], {}).setdefault((alloc.beta, rates), []).append(k)
+    return groups
+
+
+def point_outages(points):
+    """Closed-form outage of every rank at every operating point: the twin of
+    sim_oracle.mc_noma_outage, on the same points and in the same shape.
+
+    points[k] is (links, alloc, rates) with links[m - 1] rank m's link; the
+    result holds one list per point with one outage per rank.  Each distinct
+    (beta, rates) gets its binding SIC thresholds once.  Per rank, each
+    distinct link's thresholds go through one Link.cdf array call and all the
+    points through one ordered_cdf call; both give every value the bits of a
+    scalar call.  An allocation that breaks SIC raises
+    InfeasibleAllocationError.
+    """
+    points, m_users = _operating_points(points)
+    allocs = {(alloc.beta, rates): alloc for _, alloc, rates in points}
+    thresholds = {key: _binding_thresholds(alloc, key[1]) for key, alloc in allocs.items()}
+    outages = [[0.0] * m_users for _ in points]
+    for rank in range(1, m_users + 1):
+        groups = _rank_groups(points, rank)
+        parent = np.concatenate([
+            link.cdf(np.array([thresholds[key][rank - 1] for key in by_point]))
+            for link, by_point in groups.items()])
+        indices = [ks for by_point in groups.values() for ks in by_point.values()]
+        for out, ks in zip(ordered_cdf(parent, rank, m_users).tolist(), indices):
+            for k in ks:
+                outages[k][rank - 1] = out
+    return outages
 
 
 class OutageModel:
-    """Per-rank outage evaluator over resolved links of one scenario.
+    """Per-rank outage memo over resolved links of one scenario, for ruom.
 
     Links are sorted weakest-first by mean direct channel gain; rank m uses
     its own link's parent CDF (direct, RIS-only, or composite with a per-rank
@@ -170,9 +216,8 @@ class OutageModel:
     so the model keeps every allocation's thresholds and every (rank, N,
     threshold) score it has computed, and computes each once.  Scores are
     computed a rank at a time: the thresholds not seen before go through the
-    link CDF and ordered_cdf in one array call each, and the element counts
-    of a curve not seen before through one ordered_cdf call, which gives
-    every element the bits a scalar call gives it.
+    link CDF and ordered_cdf in one array call each, which gives every value
+    the bits a scalar call gives it.
     """
 
     def __init__(self, links, rates, link_type: str):
@@ -186,48 +231,25 @@ class OutageModel:
             raise ValueError("need one target rate per UAV")
         if any(r <= 0 for r in self.rates):
             raise ValueError("target rates must be positive")
-        self._rank_links = {}
         self._thresholds = {}  # beta -> binding SIC threshold of every rank
         self._scores = {}  # (rank, n_elements) -> {binding threshold: outage}
 
     def link(self, rank: int, n_elements: int) -> ch.Link:
         """The link of the given rank (1-based) with n_elements RIS elements."""
-        key = (rank, n_elements)
-        if key not in self._rank_links:
-            self._rank_links[key] = self.links[rank - 1].link(self.link_type, n_elements)
-        return self._rank_links[key]
+        return self.links[rank - 1].link(self.link_type, n_elements)
 
     def outage(self, rank: int, alloc: PowerAllocation, n_elements: int) -> float:
         """Outage of the given rank: the ordered CDF of its link at the binding
         SIC threshold.  An infeasible allocation raises InfeasibleAllocationError."""
         return self._rank_outages(rank, n_elements, (self._threshold(rank, alloc),))[0]
 
-    def curve(self, rank: int, alloc: PowerAllocation, n_grid):
-        """outage(rank, alloc, n) at every n of n_grid, bit for bit; the element
-        counts not scored before are scored in one ordered_cdf call."""
-        gamma_mlb = self._threshold(rank, alloc)
-        if self.link_type == "direct":
-            n_grid = [0] * len(n_grid)  # the direct link is the same at every N
-        new = [n for n in dict.fromkeys(n_grid)
-               if gamma_mlb not in self._scores.get((rank, n), ())]
-        if new:
-            outs = rank_outages(rank, self.m_users,
-                                [(self.link(rank, n), (gamma_mlb,)) for n in new])
-            for n, out in zip(new, outs):
-                self._scores.setdefault((rank, n), {})[gamma_mlb] = out
-        return [self._scores[rank, n][gamma_mlb] for n in n_grid]
-
     def outages(self, alloc: PowerAllocation, n_per_rank):
         """Outage of every rank, from one pass over the SIC thresholds."""
-        thresholds = self.thresholds(alloc)
-        return [
-            self._rank_outages(m, int(n_per_rank[m - 1]), (thresholds[m - 1],))[0]
-            for m in range(1, self.m_users + 1)
-        ]
+        return self.batch_outages([alloc], n_per_rank)[0]
 
     def batch_outages(self, allocs, n_per_rank):
-        """outages(alloc, n_per_rank) of each allocation, bit for bit, scored
-        one rank at a time over the whole batch."""
+        """outages(alloc, n_per_rank) of each allocation, scored one rank at a
+        time over the whole batch."""
         thresholds = [self.thresholds(alloc) for alloc in allocs]
         per_rank = [
             self._rank_outages(m, int(n_per_rank[m - 1]), [t[m - 1] for t in thresholds])
@@ -239,10 +261,7 @@ class OutageModel:
         """Binding SIC threshold of every rank under alloc, computed once per beta."""
         out = self._thresholds.get(alloc.beta)
         if out is None:
-            lbs, _ = sic_thresholds(alloc, self.rates, self.m_users)
-            out = self._thresholds[alloc.beta] = [
-                _binding_threshold(lbs, m, self.m_users) for m in range(1, self.m_users + 1)
-            ]
+            out = self._thresholds[alloc.beta] = _binding_thresholds(alloc, self.rates)
         return out
 
     def _threshold(self, rank: int, alloc: PowerAllocation) -> float:
@@ -265,6 +284,6 @@ class OutageModel:
         scores = self._scores.setdefault((rank, n_elements), {})
         new = [g for g in dict.fromkeys(thresholds) if g not in scores]
         if new:
-            link = self.link(rank, n_elements)
-            scores.update(zip(new, rank_outages(rank, self.m_users, [(link, new)])))
+            parent = self.link(rank, n_elements).cdf(np.array(new))
+            scores.update(zip(new, ordered_cdf(parent, rank, self.m_users).tolist()))
         return [scores[g] for g in thresholds]

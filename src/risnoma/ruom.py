@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .noma import OutageModel, PowerAllocation, _sic_margins, _sic_phis
 
 __all__ = [

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import NakagamiParams, RisLinkParams
-from .noma import decode_rate
+from .noma import _operating_points, _rank_groups, decode_rate
 
 __all__ = [
     "McConfig",
@@ -182,25 +182,19 @@ def mc_noma_outage(points, cfg: McConfig) -> list:
     scored on the same draws.  The outage event is the failure of any decode
     rate R_{m,j} (j <= m) to exceed its target -- the rate conditions
     themselves, not the SIC thresholds, so this run is an independent check
-    of the closed-form pipeline.
+    of the closed-form pipeline, noma.point_outages, on the same points.
     """
-    points = [(links, alloc, tuple(float(r) for r in rates)) for links, alloc, rates in points]
-    m_users = len(points[0][0]) if points else 0
-    if any(len(links) != m_users or alloc.m_users != m_users or len(rates) != m_users
-           for links, alloc, rates in points):
-        raise ValueError("every point needs one link and target rate per user")
+    points, m_users = _operating_points(points)
     failures = [[0] * m_users for _ in points]
     for rank in range(1, m_users + 1):
-        # point indices by link, then by (alloc, rates): each is scored once
-        scored = {}
-        for k, (links, alloc, rates) in enumerate(points):
-            scored.setdefault(links[rank - 1], {}).setdefault((alloc, rates), []).append(k)
+        scored = _rank_groups(points, rank)
         family = list(scored)
         for idx, size in enumerate(cfg.batch_sizes()):
             rng = batch_rng(cfg.seed + 7919 * rank, idx)
             for link, draws in zip(family, _family_snrs(family, rng, (m_users, size))):
                 gamma_m = np.partition(draws, rank - 1, axis=0)[rank - 1]
-                for (alloc, rates), ks in scored[link].items():
+                for ks in scored[link].values():
+                    _, alloc, rates = points[ks[0]]
                     ok = np.ones(size, dtype=bool)
                     for j in range(1, rank + 1):
                         ok &= decode_rate(gamma_m, alloc, rank, j) > rates[j - 1]

@@ -21,7 +21,6 @@ __all__ = [
     "gamma",
     "reg_lower_inc_gamma",
     "q_function",
-    "binomial",
 ]
 
 
@@ -68,11 +67,3 @@ def q_function(x):
     out = 0.5 * _sp.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
     return float(out) if np.ndim(out) == 0 else out
 
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative n and k")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got k={k} > n={n}")
-    return math.comb(n, k)

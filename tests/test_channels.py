@@ -431,13 +431,6 @@ class TestCompositeQuadrature:
             composite_snr_cdf_quadrature(fit, link.direct_fading, b, g) for g in grid
         ]
 
-    def test_no_ris_degenerates_to_direct(self):
-        link = _table_i_link()
-        for g in (1.0, 50.0, 900.0):
-            assert composite_snr_cdf_quadrature(None, link.direct_fading, link.budget(), g) == (
-                pytest.approx(direct_snr_cdf(link.direct_fading, link.gamma_bar_d, g), abs=1e-6)
-            )
-
     def test_vs_mc(self):
         link = _table_i_link()
         n = 32
@@ -458,6 +451,18 @@ def _default_links(drop=2):
     """The LoS-fitted links of one default drop (direct m3 is not a half-integer)."""
     scen = generate_scenario(ScenarioConfig(), drop)
     return resolve_links(EnvironmentParams(), scen)
+
+
+def test_link_channel_builds_each_link_once():
+    # equal links of one channel are one object, so point lists group them cheaply
+    channel = _default_links()[0]
+    direct = channel.link("direct", 0)
+    assert channel.link("direct", 64) is direct and channel.link("composite", 0) is direct
+    assert channel.link("composite", 64) is channel.link("composite", 64)
+    assert channel.link("ris", 64) is not channel.link("composite", 64)
+    assert channel.link("composite", 64) == dataclasses.replace(channel).link("composite", 64)
+    with pytest.raises(ValueError):
+        channel.laguerre(0)  # no element sum to fit; N = 0 is the direct link
 
 
 class TestLinkCdfArrays:
@@ -537,13 +542,6 @@ class TestCompositeClosed:
         link = _table_i_link(m_direct=1.37)
         with pytest.raises(ValueError):
             composite_snr_cdf_closed(link.laguerre(8), link.direct_fading, link.budget(), 1.0)
-
-    def test_no_ris_degenerates_to_direct(self):
-        link = _table_i_link()
-        g = 100.0
-        assert composite_snr_cdf_closed(None, link.direct_fading, link.budget(), g) == (
-            pytest.approx(direct_snr_cdf(link.direct_fading, link.gamma_bar_d, g), rel=1e-12)
-        )
 
     def test_unclamped_diagnostic(self):
         link = _table_i_link()

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from risnoma import channels, expcli, noma, sim_oracle
-from risnoma.channels import LINK_KINDS, Link
+from risnoma.channels import Link
 from risnoma.environment import transmit_snr
 from risnoma.expcli import (
     EXIT_CONFIG,
@@ -576,15 +576,16 @@ class TestCurveScoring:
         expcli.run_sweep_rate(cfg, 1, tmp_path, False)
         assert calls == [len(cfg.sweep.grid)] * cfg.scenario.n_uavs
 
-    @pytest.mark.parametrize("name, runner, models", [
-        ("sweep-links", expcli.run_sweep_links, len(LINK_KINDS)),
-        ("sweep-power", expcli.run_sweep_power, None),
+    @pytest.mark.parametrize("name, runner, expected", [
+        ("sweep-links", expcli.run_sweep_links, 1),
+        ("sweep-power", expcli.run_sweep_power, 1),
         ("sweep-rate", expcli.run_sweep_rate, None),
     ])
     def test_sic_thresholds_once_per_model_and_beta(self, tmp_path, monkeypatch, name, runner,
-                                                    models):
-        # sweep-links builds one model per link kind, a scalar sweep one per
-        # grid point; each computes the thresholds of its one beta once
+                                                    expected):
+        # point_outages computes the thresholds once per distinct (beta,
+        # rates) of its point list: one for sweep-links and sweep-power, one
+        # per grid point for sweep-rate
         calls = []
         counted = noma.sic_thresholds
 
@@ -595,7 +596,7 @@ class TestCurveScoring:
         monkeypatch.setattr(noma, "sic_thresholds", thresholds)
         cfg = self._config(name)
         runner(cfg, 1, tmp_path, False)
-        assert len(calls) == (models or len(cfg.sweep.grid))
+        assert len(calls) == (expected or len(cfg.sweep.grid))
 
 
 class TestMcCalls:

@@ -14,8 +14,10 @@ from risnoma.noma import (
     PowerAllocation,
     decode_rate,
     ordered_cdf,
+    point_outages,
     sic_thresholds,
 )
+from risnoma.sim_oracle import McConfig, mc_noma_outage
 
 ALLOC2 = PowerAllocation((0.8, 0.2))
 
@@ -434,8 +436,9 @@ DEFAULT_N_GRID = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 class TestCurve:
-    """curve() gives a rank's outage at every N of a grid with one ordered_cdf
-    call; its floats are the ones per-N outage() calls on a fresh model give."""
+    """point_outages scores a curve of operating points, one per N, with one
+    ordered_cdf call per rank; its floats are the ones per-N outage() calls
+    on a fresh model give."""
 
     RATES = (0.5, 0.5, 0.5)
 
@@ -443,21 +446,25 @@ class TestCurve:
         scen = generate_scenario(ScenarioConfig(), 2)  # LoS-fitted, m3 not a half-integer
         return OutageModel(resolve_links(EnvironmentParams(), scen), self.RATES, link_type)
 
+    def _points(self, alloc, grid, kind="composite", rates=RATES):
+        links = self._model(kind).links
+        return [([link.link(kind, n) for link in links], alloc, rates) for n in grid]
+
     @pytest.mark.parametrize("link_type", LINK_KINDS)
     def test_curve_equals_outage_at_every_n(self, link_type):
         grid = [n for n in DEFAULT_N_GRID if link_type != "ris" or n > 0]
         for alloc in _feasible_allocations(self.RATES, 3, seed=4):
+            curve = point_outages(self._points(alloc, grid, link_type))
             for rank in (1, 2, 3):
-                curve = self._model(link_type).curve(rank, alloc, grid)
                 fresh = self._model(link_type)
                 single = [fresh.outage(rank, alloc, n) for n in grid]
-                assert [x.hex() for x in curve] == [x.hex() for x in single]
+                assert [outs[rank - 1].hex() for outs in curve] == [x.hex() for x in single]
 
     def test_composite_at_zero_elements_is_direct(self):
         alloc = _feasible_allocations(self.RATES, 1, seed=9)[0]
-        for rank in (1, 2, 3):
-            at_zero = self._model("composite").curve(rank, alloc, DEFAULT_N_GRID)[0]
-            assert at_zero.hex() == self._model("direct").outage(rank, alloc, 0).hex()
+        [at_zero] = point_outages(self._points(alloc, (0,)))
+        direct = self._model("direct")
+        assert [x.hex() for x in at_zero] == [direct.outage(m, alloc, 0).hex() for m in (1, 2, 3)]
 
     def test_one_ordered_cdf_call_per_curve(self, monkeypatch):
         sizes = []
@@ -469,15 +476,29 @@ class TestCurve:
 
         monkeypatch.setattr(noma, "ordered_cdf", ordered)
         alloc = _feasible_allocations(self.RATES, 1, seed=9)[0]
-        model, direct = self._model("composite"), self._model("direct")
-        model.outage(1, alloc, 64)
+        point_outages(self._points(alloc, DEFAULT_N_GRID + DEFAULT_N_GRID))
+        assert sizes == [len(DEFAULT_N_GRID)] * 3  # one call per rank, each link once
         sizes.clear()
-        model.curve(1, alloc, DEFAULT_N_GRID + DEFAULT_N_GRID)
-        assert sizes == [len(DEFAULT_N_GRID) - 1]  # N = 64 was scored before
-        sizes.clear()
-        model.curve(1, alloc, DEFAULT_N_GRID)
-        direct.curve(2, alloc, DEFAULT_N_GRID)
-        assert sizes == [1]  # the direct link is the same at every N
+        point_outages(self._points(alloc, DEFAULT_N_GRID, "direct"))
+        assert sizes == [1] * 3  # the direct link is the same at every N
+
+    def test_equal_links_share_one_cdf_call(self, monkeypatch):
+        calls = []
+        cdf = Link.cdf
+
+        def counted_cdf(self, gamma):
+            calls.append(np.size(gamma))
+            return cdf(self, gamma)
+
+        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        alloc = PowerAllocation((0.7, 0.2, 0.1))
+        rate_grid = (0.2, 0.3, 0.4, 0.5)
+        points = [point for r in rate_grid for point in self._points(alloc, (64,), rates=(r,) * 3)]
+        outs = point_outages(points)
+        assert calls == [len(rate_grid)] * 3  # built apart, equal by value
+        for r, got in zip(rate_grid, outs):
+            model = OutageModel(self._model("composite").links, (r,) * 3, "composite")
+            assert got == model.outages(alloc, (64, 64, 64))
 
     def test_sic_thresholds_once_per_beta(self, monkeypatch):
         calls = []
@@ -489,19 +510,24 @@ class TestCurve:
 
         monkeypatch.setattr(noma, "sic_thresholds", thresholds)
         allocs = _feasible_allocations(self.RATES, 2, seed=9)
-        model = self._model("composite")
-        for alloc in allocs + allocs:
-            for rank in (1, 2, 3):
-                model.outage(rank, alloc, 64)
-                model.curve(rank, alloc, DEFAULT_N_GRID)
-            model.outages(alloc, (64, 1, 0))
+        point_outages([point for alloc in allocs + allocs
+                       for point in self._points(alloc, DEFAULT_N_GRID)])
         assert calls == [a.beta for a in allocs]
 
     def test_rank_below_an_infeasible_rank_is_served(self):
-        # at 2 bpc rank 1 decodes (0.8 > 3 * 0.2) but rank 2 does not (0.12 < 3 * 0.08)
+        # at 2 bpc rank 1 decodes (0.8 > 3 * 0.2) but rank 2 does not (0.12 < 3 * 0.08);
+        # the memo still serves rank 1, point_outages scores every rank
         model = OutageModel(self._model("composite").links, (2.0, 2.0, 2.0), "composite")
         alloc = PowerAllocation((0.8, 0.12, 0.08))
-        assert model.curve(1, alloc, (0, 64)) == [model.outage(1, alloc, n) for n in (0, 64)]
+        assert all(model.outage(1, alloc, n) > 0.0 for n in (0, 64))
         with pytest.raises(InfeasibleAllocationError) as exc:
-            model.curve(2, alloc, (0, 64))
+            point_outages(self._points(alloc, (0, 64), rates=(2.0, 2.0, 2.0)))
         assert exc.value.rank_j == 2
+
+    def test_shape_of_mc_noma_outage(self):
+        allocs = _feasible_allocations(self.RATES, 2, seed=9)
+        points = [point for alloc in allocs for point in self._points(alloc, (0, 16, 64))]
+        analytic = point_outages(points)
+        mc = mc_noma_outage(points, McConfig(trials=200, batch=200))
+        assert [len(outs) for outs in analytic] == [len(ests) for ests in mc] == [3] * 6
+        assert all(type(x) is float for outs in analytic for x in outs)

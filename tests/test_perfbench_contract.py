@@ -42,17 +42,22 @@ def test_every_curves_op_passes_its_checks(wl, tmp_path):
         assert wl.check(op, result) == [], op
 
 
-# sha256 of the result files of the curves seed-1 plan, as perfbench/run.py
-# prints it; a declared change to the output re-records it.
-CURVES_SEED1_DIGEST = "ae861aa173bc7af8dff06234ee0f2fcc9b19b935439f2d8380b29cfa85a8ecd5"
+# sha256 of the result files of each workload's seed-1 plan, as
+# perfbench/run.py prints it; a declared change to the output re-records it.
+SEED1_DIGESTS = {
+    "curves": "ae861aa173bc7af8dff06234ee0f2fcc9b19b935439f2d8380b29cfa85a8ecd5",
+    "optimize": "8ad38a8b7984aa2e37c22251633745c7b1de3e38f504447519aef430147c8f47",
+    "mc-check": "aebaef081fb734b2769d3af2b005b60add31f4d70bdcde05069ebfd097b7ea74",
+}
 
 
-def test_curves_plan_digest(wl, tmp_path):
+@pytest.mark.parametrize("workload", list(SEED1_DIGESTS))
+def test_plan_digest(wl, tmp_path, workload):
     chunks = []
-    for op in wl.plan("curves", 1, wl.load_configs("curves")):
+    for op in wl.plan(workload, 1, wl.load_configs(workload)):
         wl.run_op(op, tmp_path)
         chunks.append(wl.result_bytes(op, tmp_path))
-    assert wl.digest(chunks) == CURVES_SEED1_DIGEST
+    assert wl.digest(chunks) == SEED1_DIGESTS[workload]
 
 
 def test_every_mc_check_op_passes_its_checks(wl, tmp_path):

@@ -13,7 +13,6 @@ import pytest
 from scipy import integrate, special
 
 from risnoma.special_math import (
-    binomial,
     gamma,
     q_function,
     reg_lower_inc_gamma,
@@ -217,19 +216,3 @@ class TestQFunction:
         assert [q_function(np.float64(x)).hex() for x in xs] == [v.hex() for v in floats]
         assert q_function(np.array(1.5)) == q_function(1.5)
 
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(3, 1) == 3
-        assert binomial(7, 0) == 1
-        assert binomial(5, 2) == 10
-
-    def test_exact_integers_to_60(self):
-        assert binomial(60, 30) == math.comb(60, 30)
-        assert isinstance(binomial(10, 4), int)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial(2, 3)
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
