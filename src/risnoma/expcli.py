@@ -442,21 +442,30 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
     With MC on, one run scores every point from one draw per rank, so the
     points share their random numbers and, at fixed beta, the MC columns are
     monotone in the swept variable.  point_outages scores the same points
-    for the analytic column.
+    for the analytic column.  A power sweep at a fixed noma.beta builds one
+    OutageModel and one allocation for all its points, which share the rates
+    and so beta; a rate point, and a point that optimizes beta, gets its own.
     """
     _require_sweep_variable(cfg, variable)
     drop = _resolved_links(cfg, seed)
     n_val = int(cfg.sweep.fixed_n_elements)
+    model = OutageModel(drop, tuple(cfg.sweep.fixed_target_rate for _ in drop),
+                        link_type="composite")
+    per_point = variable == "target_rate" or cfg.noma.beta == "optimize"
+    alloc = None if per_point else _allocation(cfg, model)
     points = []
     for value in cfg.sweep.grid:
-        links, rate = drop, cfg.sweep.fixed_target_rate
+        links, rates = model.links, model.rates
         if variable == "tx_power_dbm":
             gamma_bar_c = transmit_snr(value, cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
-            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in drop]
+            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in links]
         else:
-            rate = float(value)
-        model = OutageModel(links, tuple(rate for _ in links), link_type="composite")
-        points.append(_point(model, _allocation(cfg, model), n_val))
+            rates = tuple(float(value) for _ in links)
+        if per_point:
+            at_point = OutageModel(links, rates, link_type="composite")
+            points.append(_point(at_point, _allocation(cfg, at_point), n_val))
+        else:
+            points.append(([link.link("composite", n_val) for link in links], alloc, rates))
     analytic = point_outages(points)
     mc = [[None] * len(drop)] * len(points)
     if mc_enabled:

@@ -9,13 +9,18 @@ random numbers: draws never fall as N grows and a composite draw is never
 below its direct or RIS-only draw.
 
 All estimators draw in fixed-size batches whose generators are derived from
-(seed, batch index), and reduce with order-insensitive integer counts, so
-serial and parallel schedules produce bit-identical results.
+(seed, batch index), and reduce with integer counts.  The batches of one call
+run as tasks on a thread pool that lives for that call, one worker per CPU
+the process may use: numpy's gamma fills, where the time goes, release the
+GIL.  Each task returns its counts and the caller adds them in task order, so
+the result is bit-identical whatever the schedule.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,24 +92,27 @@ def _element_sums(ris: RisLinkParams, counts, rng, shape) -> dict:
     """Element sums S_N = sum_{i <= N} g_i^g * g_i^a at every N in counts.
 
     One running sum over the elements records S at each N, so S_N never
-    falls as N grows.  Element power products G1*G2 are drawn ELEMENT_CHUNK
-    elements at a time into two fixed buffers and take one sqrt each, so
-    memory does not grow with N.
+    falls as N grows.  Per chunk of ELEMENT_CHUNK elements the G1 powers
+    fill a chunk buffer in one call and the G2 powers one row at a time,
+    each multiplied into its row; that is the order one fill of both chunks
+    would draw them in.  The products then take one sqrt each, so memory is
+    one chunk plus one row and does not grow with N.
     """
     g2r, r2a = ris.hop_g2r, ris.hop_r2a
     scale = math.sqrt(g2r.omega / g2r.m * r2a.omega / r2a.m)
     wanted = sorted(set(counts))
     n_max = wanted[-1]
-    rows = min(ELEMENT_CHUNK, n_max)
-    buf_g2r, buf_r2a = np.empty((rows,) + shape), np.empty((rows,) + shape)
+    buf = np.empty((min(ELEMENT_CHUNK, n_max),) + shape)
+    other = np.empty(shape)
     running = np.zeros(shape)
     sums = {}
     for lo in range(0, n_max, ELEMENT_CHUNK):
         k = min(ELEMENT_CHUNK, n_max - lo)
-        prod, other = buf_g2r[:k], buf_r2a[:k]
+        prod = buf[:k]
         rng.standard_gamma(g2r.m, out=prod)
-        rng.standard_gamma(r2a.m, out=other)
-        np.multiply(prod, other, out=prod)
+        for row in prod:
+            rng.standard_gamma(r2a.m, out=other)
+            row *= other
         np.sqrt(prod, out=prod)
         np.cumsum(prod, axis=0, out=prod)  # row i: elements lo+1 .. lo+i+1
         for n in wanted:
@@ -133,6 +141,10 @@ def _family_snrs(family, rng, size):
     what it always drew) and the element sums S_N once, at every N the
     family asks for.  Each link's SNR is gamma_bar_c * amp^2 from its own
     budget, with amp = amp_direct * w + amp_ris * S_N over the paths it has.
+    Both are assembled in place; float addition and multiplication commute
+    exactly, so (amp_ris * S_N) + (amp_direct * w) and
+    (gamma_bar_c * amp) * amp are the bits of the expressions above.  Every
+    SNR array is new, so callers may sort or partition it in place.
     """
     direct, hops = _shared_fading(family)
     shape = tuple(np.atleast_1d(size))
@@ -145,31 +157,61 @@ def _family_snrs(family, rng, size):
         budget = link.budget
         if link.ris is None:
             amp = budget.amp_direct * w
-        elif link.direct is None:
-            amp = budget.amp_ris * sums[link.ris.n_elements]
         else:
-            amp = budget.amp_direct * w + budget.amp_ris * sums[link.ris.n_elements]
-        yield budget.gamma_bar_c * amp * amp
+            amp = budget.amp_ris * sums[link.ris.n_elements]
+            if link.direct is not None:
+                amp += budget.amp_direct * w
+        snr = budget.gamma_bar_c * amp
+        snr *= amp
+        yield snr
+
+
+def _workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _summed_counts(task, jobs):
+    """Sum of task(job) over jobs, integer count arrays of one shape.
+
+    The jobs run on a thread pool opened here and shut down before this
+    returns, with one worker per CPU, at most one per job.  The counts are
+    added in job order, and integer sums do not depend on it anyway, so the
+    result is the serial one bit for bit.  A task's exception reaches the
+    caller as raised, once the running tasks are done; queued ones are
+    cancelled.
+    """
+    with ThreadPoolExecutor(max_workers=min(_workers(), len(jobs))) as pool:
+        return sum(pool.map(task, jobs))
 
 
 def mc_snr_cdf(family, gamma_grids, cfg: McConfig) -> list:
     """Empirical SNR CDF of each link of one family, link i over gamma_grids[i].
 
     Single-link callers pass a family of one: mc_snr_cdf([link], [grid], cfg)[0].
+    Each batch is one task, counting the draws at or below every grid point.
     """
     grids = [np.asarray(grid, dtype=float) for grid in gamma_grids]
     if len(grids) != len(family):
         raise ValueError("need one gamma grid per link")
     if any(grid.ndim != 1 or np.any(np.diff(grid) < 0) for grid in grids):
         raise ValueError("gamma grid must be a sorted 1-D array")
-    counts = [np.zeros(grid.size, dtype=np.int64) for grid in grids]
-    for idx, size in enumerate(cfg.batch_sizes()):
-        rng = batch_rng(cfg.seed, idx)
-        for count, grid, snr in zip(counts, grids, _family_snrs(family, rng, size)):
-            count += np.searchsorted(np.sort(snr), grid, side="right")
+
+    def batch_counts(job):
+        idx, size = job
+        counts = []
+        for grid, snr in zip(grids, _family_snrs(family, batch_rng(cfg.seed, idx), size)):
+            snr.sort()
+            counts.append(np.searchsorted(snr, grid, side="right"))
+        return np.concatenate(counts)
+
+    counts = _summed_counts(batch_counts, list(enumerate(cfg.batch_sizes())))
+    splits = np.cumsum([grid.size for grid in grids])[:-1]
     halfwidth = math.sqrt(math.log(2.0 / 0.05) / (2.0 * cfg.trials))
     return [McCdf(grid=grid, values=count / cfg.trials, halfwidth=halfwidth, trials=cfg.trials)
-            for grid, count in zip(grids, counts)]
+            for grid, count in zip(grids, np.split(counts, splits))]
 
 
 def mc_noma_outage(points, cfg: McConfig) -> list:
@@ -183,25 +225,34 @@ def mc_noma_outage(points, cfg: McConfig) -> list:
     rate R_{m,j} (j <= m) to exceed its target -- the rate conditions
     themselves, not the SIC thresholds, so this run is an independent check
     of the closed-form pipeline, noma.point_outages, on the same points.
+    Each (rank, batch) is one task, counting the failures of its rank's
+    column at every point.
     """
     points, m_users = _operating_points(points)
-    failures = [[0] * m_users for _ in points]
-    for rank in range(1, m_users + 1):
-        scored = _rank_groups(points, rank)
+    if not points:
+        return []
+    groups = {rank: _rank_groups(points, rank) for rank in range(1, m_users + 1)}
+
+    def batch_failures(job):
+        rank, idx, size = job
+        scored = groups[rank]
         family = list(scored)
-        for idx, size in enumerate(cfg.batch_sizes()):
-            rng = batch_rng(cfg.seed + 7919 * rank, idx)
-            for link, draws in zip(family, _family_snrs(family, rng, (m_users, size))):
-                gamma_m = np.partition(draws, rank - 1, axis=0)[rank - 1]
-                for ks in scored[link].values():
-                    _, alloc, rates = points[ks[0]]
-                    ok = np.ones(size, dtype=bool)
-                    for j in range(1, rank + 1):
-                        ok &= decode_rate(gamma_m, alloc, rank, j) > rates[j - 1]
-                    failed = int(size - np.count_nonzero(ok))
-                    for k in ks:
-                        failures[k][rank - 1] += failed
-    return [[_estimate(f, cfg.trials) for f in row] for row in failures]
+        failures = np.zeros((len(points), m_users), dtype=np.int64)
+        rng = batch_rng(cfg.seed + 7919 * rank, idx)
+        for link, draws in zip(family, _family_snrs(family, rng, (m_users, size))):
+            draws.partition(rank - 1, axis=0)
+            gamma_m = draws[rank - 1]
+            for ks in scored[link].values():
+                _, alloc, rates = points[ks[0]]
+                ok = np.ones(size, dtype=bool)
+                for j in range(1, rank + 1):
+                    ok &= decode_rate(gamma_m, alloc, rank, j) > rates[j - 1]
+                failures[ks, rank - 1] = size - np.count_nonzero(ok)
+        return failures
+
+    jobs = [(rank, idx, size) for rank in groups for idx, size in enumerate(cfg.batch_sizes())]
+    failures = _summed_counts(batch_failures, jobs)
+    return [[_estimate(f, cfg.trials) for f in row] for row in failures.tolist()]
 
 
 def _estimate(failures: int, trials: int) -> McEstimate:

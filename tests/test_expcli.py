@@ -676,6 +676,32 @@ class TestMcCalls:
         runner(cfg, 7, tmp_path, False)
         assert len(drops) == 1
 
+    @pytest.mark.parametrize("variable, beta, runner, models, allocations", [
+        ("tx_power_dbm", "[0.7, 0.2, 0.1]", expcli.run_sweep_power, 1, 1),
+        ("tx_power_dbm", "optimize", expcli.run_sweep_power, 3, 2),
+        ("target_rate", "[0.7, 0.2, 0.1]", expcli.run_sweep_rate, 3, 2),
+    ], ids=["sweep-power", "sweep-power-optimize", "sweep-rate"])
+    def test_allocations_per_scalar_sweep(self, tmp_path, monkeypatch, variable, beta, runner,
+                                          models, allocations):
+        # a power sweep at a fixed beta shares one model and one allocation
+        # over its points; a rate point and an optimized beta need their own
+        counts = {"models": 0, "allocations": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(expcli, "OutageModel", counted("models", expcli.OutageModel))
+        monkeypatch.setattr(expcli, "_allocation", counted("allocations", expcli._allocation))
+        text = FAST_YAML.replace("variable: n_elements", f"variable: {variable}")
+        text = text.replace("grid: [0, 4, 16, 64]", "grid: [1.0, 1.2]" if variable == "target_rate"
+                            else "grid: [30.0, 34.0]")
+        cfg = load_config(_write(tmp_path, text + f"noma:\n  beta: {beta}\n"))
+        runner(cfg, 7, tmp_path, False)
+        assert counts == {"models": models, "allocations": allocations}
+
 
 class _CountingRng:
     """A Generator stand-in that counts the gamma variates drawn through it."""

@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: sampler moments, determinism, reduction order."""
 
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -345,3 +346,129 @@ class TestFamilies:
             finally:
                 tracemalloc.stop()
         assert peaks[1024] <= 2 * peaks[64]
+
+
+def _two_buffer_element_sums(ris: RisLinkParams, counts, rng, shape) -> dict:
+    """The element-sum sampler as first written: each chunk fills a G1 and a
+    G2 buffer of ELEMENT_CHUNK rows in one call each.  The reference stream."""
+    g2r, r2a = ris.hop_g2r, ris.hop_r2a
+    scale = math.sqrt(g2r.omega / g2r.m * r2a.omega / r2a.m)
+    wanted = sorted(set(counts))
+    n_max = wanted[-1]
+    rows = min(sim_oracle.ELEMENT_CHUNK, n_max)
+    buf_g2r, buf_r2a = np.empty((rows,) + shape), np.empty((rows,) + shape)
+    running = np.zeros(shape)
+    sums = {}
+    for lo in range(0, n_max, sim_oracle.ELEMENT_CHUNK):
+        k = min(sim_oracle.ELEMENT_CHUNK, n_max - lo)
+        prod, other = buf_g2r[:k], buf_r2a[:k]
+        rng.standard_gamma(g2r.m, out=prod)
+        rng.standard_gamma(r2a.m, out=other)
+        np.multiply(prod, other, out=prod)
+        np.sqrt(prod, out=prod)
+        np.cumsum(prod, axis=0, out=prod)
+        for n in wanted:
+            if lo < n <= lo + k:
+                sums[n] = scale * (running + prod[n - lo - 1])
+        running += prod[k - 1]
+    return sums
+
+
+class _ReversedPool:
+    """Stands in for ThreadPoolExecutor: runs the tasks last first, in the
+    calling thread, and hands their results back in task order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        return iter([fn(job) for job in reversed(jobs)][::-1])
+
+
+class TestParallelBatches:
+    """Batches run concurrently, draw the serial stream and reduce to the
+    serial result bit for bit."""
+
+    ELEMENTS = (1, 7, 8, 13, 64, 530)
+
+    @pytest.mark.parametrize("shape", [(5_000,), (3, 5_000)])
+    @pytest.mark.parametrize("m_g2r, m_r2a", [(1.0, 1.33), (1.33, 2.6), (2.6, 1.0)])
+    def test_element_sums_keep_the_two_buffer_stream(self, shape, m_g2r, m_r2a):
+        ris = RisLinkParams(hop_g2r=NakagamiParams(m=m_g2r, omega=0.8),
+                            hop_r2a=NakagamiParams(m=m_r2a, omega=1.7), n_elements=1)
+        for counts in [(n,) for n in self.ELEMENTS] + [self.ELEMENTS]:
+            new = sim_oracle._element_sums(ris, counts, batch_rng(60, 0), shape)
+            old = _two_buffer_element_sums(ris, counts, batch_rng(60, 0), shape)
+            assert new.keys() == old.keys()
+            for n in counts:
+                assert np.array_equal(new[n], old[n])
+
+    def _points(self):
+        channels = _links()
+        direct = OutageModel(channels, (1.0, 1.0, 1.0), link_type="direct")
+        composite = OutageModel(channels, (1.0, 1.0, 1.0), link_type="composite")
+        links = [direct.link(rank, 0) for rank in (1, 2, 3)]
+        return [
+            (links, PowerAllocation((0.7, 0.2, 0.1)), (1.0, 1.0, 1.0)),
+            (links, PowerAllocation((0.7, 0.2, 0.1)), (1.2, 1.0, 0.8)),
+            ([composite.link(rank, 16) for rank in (1, 2, 3)],
+             PowerAllocation((0.6, 0.3, 0.1)), (1.0, 1.0, 1.0)),
+            ([composite.link(rank, 40) for rank in (1, 2, 3)],
+             PowerAllocation((0.6, 0.3, 0.1)), (0.5, 0.5, 0.5)),
+        ]
+
+    def _family(self):
+        channel = _links()[0]
+        family = [channel.link("direct", 0), channel.link("ris", 16), channel.link("composite", 16)]
+        grids = [np.geomspace(1e-3, 1e3, 50) * link.budget.gamma_bar_c for link in family]
+        return family, grids
+
+    def _run_both(self):
+        cfg = McConfig(trials=7_500, seed=61, batch=2_500)  # 3 batches per rank
+        family, grids = self._family()
+        return mc_noma_outage(self._points(), cfg), mc_snr_cdf(family, grids, cfg)
+
+    def test_serial_equals_parallel_equals_reversed(self, monkeypatch):
+        parallel = self._run_both()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_oracle, "_workers", lambda: 1)
+            serial = self._run_both()
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_oracle, "ThreadPoolExecutor", _ReversedPool)
+            reversed_order = self._run_both()
+        assert parallel[0] == serial[0] == reversed_order[0]
+        for cdfs in (serial[1], reversed_order[1]):
+            assert len(cdfs) == len(parallel[1])
+            for a, b in zip(parallel[1], cdfs):
+                assert np.array_equal(a.grid, b.grid)
+                assert np.array_equal(a.values, b.values)
+                assert (a.halfwidth, a.trials) == (b.halfwidth, b.trials)
+
+    def test_parallel_task_error_reaches_the_caller(self, monkeypatch):
+        error = RuntimeError("batch failed")
+
+        def failing(family, rng, size):
+            raise error
+
+        monkeypatch.setattr(sim_oracle, "_family_snrs", failing)
+        family, grids = self._family()
+        cfg = McConfig(trials=7_500, seed=62, batch=2_500)
+        for call in (lambda: mc_noma_outage(self._points(), cfg),
+                     lambda: mc_snr_cdf(family, grids, cfg)):
+            threads = threading.active_count()
+            with pytest.raises(RuntimeError) as caught:
+                call()
+            assert caught.value is error
+            assert threading.active_count() == threads
+
+    def test_parallel_pool_is_gone_after_the_call(self):
+        threads = threading.active_count()
+        self._run_both()
+        assert threading.active_count() == threads
