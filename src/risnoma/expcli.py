@@ -449,21 +449,22 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
     _require_sweep_variable(cfg, variable)
     drop = _resolved_links(cfg, seed)
     n_val = int(cfg.sweep.fixed_n_elements)
-    model = OutageModel(drop, tuple(cfg.sweep.fixed_target_rate for _ in drop),
-                        link_type="composite")
-    per_point = variable == "target_rate" or cfg.noma.beta == "optimize"
-    alloc = None if per_point else _allocation(cfg, model)
+    rates = tuple(cfg.sweep.fixed_target_rate for _ in drop)
+    shared = None
+    if variable == "tx_power_dbm" and cfg.noma.beta != "optimize":
+        shared = OutageModel(drop, rates, link_type="composite")
+        drop, rates, alloc = shared.links, shared.rates, _allocation(cfg, shared)
     points = []
     for value in cfg.sweep.grid:
-        links, rates = model.links, model.rates
+        links = drop
         if variable == "tx_power_dbm":
             gamma_bar_c = transmit_snr(value, cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
-            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in links]
+            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in drop]
         else:
-            rates = tuple(float(value) for _ in links)
-        if per_point:
-            at_point = OutageModel(links, rates, link_type="composite")
-            points.append(_point(at_point, _allocation(cfg, at_point), n_val))
+            rates = tuple(float(value) for _ in drop)
+        if shared is None:
+            model = OutageModel(links, rates, link_type="composite")
+            points.append(_point(model, _allocation(cfg, model), n_val))
         else:
             points.append(([link.link("composite", n_val) for link in links], alloc, rates))
     analytic = point_outages(points)

@@ -678,8 +678,8 @@ class TestMcCalls:
 
     @pytest.mark.parametrize("variable, beta, runner, models, allocations", [
         ("tx_power_dbm", "[0.7, 0.2, 0.1]", expcli.run_sweep_power, 1, 1),
-        ("tx_power_dbm", "optimize", expcli.run_sweep_power, 3, 2),
-        ("target_rate", "[0.7, 0.2, 0.1]", expcli.run_sweep_rate, 3, 2),
+        ("tx_power_dbm", "optimize", expcli.run_sweep_power, 2, 2),
+        ("target_rate", "[0.7, 0.2, 0.1]", expcli.run_sweep_rate, 2, 2),
     ], ids=["sweep-power", "sweep-power-optimize", "sweep-rate"])
     def test_allocations_per_scalar_sweep(self, tmp_path, monkeypatch, variable, beta, runner,
                                           models, allocations):
