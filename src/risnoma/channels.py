@@ -14,7 +14,19 @@ half-Gaussian bound standing in for the normal tail; both approximations are
 validated against Monte Carlo and against composite_snr_cdf_quadrature, a
 fixed-node Gauss-Legendre reference that takes scalar or array gamma and
 raises nothing beyond its domain check.
-"""
+
+Every link CDF value comes from link_cdfs, which takes a batch of (link,
+gamma) pairs of any kinds and runs one special-function pass per link kind:
+one gammainc call for the direct pairs, one for the RIS-only pairs, and for
+the composite pairs one gammainc call (every F_d and branch term) and one
+gammaincc call (every psi term at every interval end).  The scipy.special
+ufuncs give each element the bits of a scalar call, and IEEE +, -, *, / and
+sqrt round the same in numpy and in Python, so those may run in either.
+The composite closed form's other arithmetic stays per pair in Python
+floats, in its original order: its ** and math.exp calls, because numpy's
+SIMD power and exp can differ from them in the last bit, and its sums,
+because numpy would add them in another order.  So a value has the same
+bits whichever batch it is evaluated in."""
 
 from __future__ import annotations
 
@@ -41,6 +53,7 @@ __all__ = [
     "Link",
     "LinkChannel",
     "LINK_KINDS",
+    "link_cdfs",
     "double_nakagami_moment",
     "fit_laguerre",
     "ris_snr_cdf",
@@ -228,26 +241,21 @@ def composite_snr_cdf_quadrature(fit, direct: NakagamiParams, budget: LinkBudget
 @functools.lru_cache(maxsize=None)
 def _psi_terms(n: int):
     """The psi-term constants of x^n, which depend only on n = 2 m3 - 1: term
-    i has k = (i+1)/2.  Returns the binomials, k as a tuple and as a column,
-    and Gamma(k) as a column and as a tuple; every closed form with this n
-    shares them, so none of them can be written to."""
+    i has k = (i+1)/2.  Returns the binomials, the k and Gamma(k), each a
+    tuple; every closed form with this n shares them."""
     ks = tuple((i + 1) / 2.0 for i in range(n + 1))
-    ks_col = np.array(ks)[:, None]
-    gamma_k = _sp.gamma(ks_col)
-    ks_col.setflags(write=False)
-    gamma_k.setflags(write=False)
     binom = tuple(math.comb(n, i) for i in range(n + 1))
-    return binom, ks, ks_col, gamma_k, tuple(gamma_k[:, 0].tolist())
+    return binom, ks, tuple(_sp.gamma(np.array(ks)).tolist())
 
 
 class _ClosedForm:
-    """composite_snr_cdf_closed for one (fit, direct, amp_direct, amp_ris): its
-    constants that depend on neither gamma nor gamma_bar_c, and the closed
-    form at a list of gammas for a given gamma_bar_c.
+    """The constants of composite_snr_cdf_closed for one (fit, direct,
+    amp_direct, amp_ris), which depend on neither gamma nor gamma_bar_c, and
+    the psi sum that _composite_cdfs evaluates with them.
 
     Every expression is the one the closed form has always evaluated, in the
     same order and with the same Python or scipy.special call, so a value has
-    the same bits whichever gammas it is evaluated with.
+    the same bits whichever pairs it is evaluated with.
     """
 
     def __init__(self, fit: LaguerreFit, direct: NakagamiParams, amp_direct: float,
@@ -270,46 +278,20 @@ class _ClosedForm:
         # (1 - 1/Z) F_d computed as -(Q(sqrt a)/Z) F_d to dodge cancellation.
         self.fd_coef = -(q_function(math.sqrt(fit.a)) / self.z_norm)
         self.scale = self.lam**m3 / (self.z_norm * gamma_fn(m3))
-        # psi term i: its binomial, 2 c1^k and Gamma(k)
-        self.binom, ks, self.ks, self.gamma_k, self.gk = _psi_terms(n)
-        self.two_c1k = [2.0 * self.c1**k for k in ks]
+        # psi term i: its binomial, k, Gamma(k) and 2 c1^k
+        self.binom, self.ks, self.gk = _psi_terms(n)
+        self.two_c1k = [2.0 * self.c1**k for k in self.ks]
 
-    def __call__(self, gammas, gamma_bar_c: float) -> list:
-        # direct_snr_cdf's gamma scale, Omega3 gamma_bar_d
-        direct_scale = self.om3 * (gamma_bar_c * self.amp_direct**2)
-        return [self._at(g, gamma_bar_c, direct_scale) for g in gammas]
+    def _coefs(self, mu, pref) -> list:
+        """rho_i / (2 c1^k_i) = C(n, i) pref mu^(n-i) / (2 c1^k_i) of each psi
+        term; both psi integrals of one gamma share them."""
+        n = self.n_pow
+        return [self.binom[i] * pref * mu ** (n - i) / self.two_c1k[i] for i in range(n + 1)]
 
-    def _at(self, gamma: float, gamma_bar_c: float, direct_scale: float) -> float:
-        if gamma == 0.0:
-            return 0.0
-        big_t = math.sqrt(gamma / gamma_bar_c)
-        m_split = big_t - self.mean_amp  # direct amplitude at the branch point
-        c1 = self.c1
-        c2 = m_split / self.two_var
-        c3 = m_split**2 / self.two_var
-        mu = c2 / c1
-        pref = math.exp(c2 * c2 / c1 - c3)
-
-        f_d = float(_sp.gammainc(self.m3, self.m3 * gamma / direct_scale))
-        val = self.fd_coef * f_d
-        # Gamma(k_i, c1 (p - mu)^2) of every psi term at every interval end p,
-        # in one ufunc call
-        ends = (0.0, big_t) if m_split < 0.0 else (0.0, m_split, big_t)
-        upper = (_sp.gammaincc(self.ks, [c1 * (p - mu) ** 2 for p in ends])
-                 * self.gamma_k).T.tolist()
-        if m_split < 0.0:
-            val += self.scale * self._psi(0.0, big_t, mu, pref, upper[0], upper[1])
-        else:
-            val += float(_sp.gammainc(self.m3, self.lam * m_split**2)) / self.z_norm
-            val += self.scale * (
-                self._psi(m_split, big_t, mu, pref, upper[1], upper[2])
-                - self._psi(0.0, m_split, mu, pref, upper[0], upper[1])
-            )
-        return min(max(val, 0.0), 1.0)
-
-    def _psi(self, p1, p2, mu, pref, upper1, upper2) -> float:
+    def _psi(self, p1, p2, mu, coefs, upper1, upper2) -> float:
         """Closed form of int_{p1}^{p2} x^n exp(-c1 x^2 + 2 c2 x - c3) dx, given
-        upper1[i] = Gamma(k_i, c1 (p1 - mu)^2) and upper2 likewise at p2.
+        the _coefs and upper1[i] = Gamma(k_i, c1 (p1 - mu)^2), upper2 likewise
+        at p2.
 
         Binomial-expands x^n about the Gaussian center mu = c2/c1 and reduces
         each term to incomplete gamma functions of c1 (p - mu)^2; the three
@@ -317,10 +299,8 @@ class _ClosedForm:
         """
         if p2 <= p1:
             return 0.0
-        n = self.n_pow
         total = 0.0
-        for i in range(n + 1):
-            rho = self.binom[i] * pref * mu ** (n - i)
+        for i, coef in enumerate(coefs):
             if p1 >= mu or i % 2 == 1:
                 bracket = upper1[i] - upper2[i]
             elif p2 <= mu:
@@ -329,12 +309,80 @@ class _ClosedForm:
                 low = self.gk[i] - upper1[i]
                 high = self.gk[i] - upper2[i]
                 bracket = low + high
-            total += rho / self.two_c1k[i] * bracket
+            total += coef * bracket
         return total
 
 
 # Links are immutable and reused, and so are their closed-form constants.
 _closed_form = functools.lru_cache(maxsize=256)(_ClosedForm)
+
+
+def _composite_cdfs(items) -> list:
+    """composite_snr_cdf_closed of each (form, gamma_bar_c, gamma) in items,
+    form a _ClosedForm and gamma >= 0 a float.
+
+    A first pass computes each pair's scalars in Python and queues its
+    special-function arguments; one gammainc call then gives every F_d and
+    branch term and one gammaincc call every psi term at every interval end;
+    a second pass sums each pair's terms in Python.  Python floats, ** and
+    math.exp stay where the closed form has always used them: numpy's SIMD
+    power and exp can differ from them in the last bit.
+    """
+    staged = []
+    lower_a, lower_x = [], []  # gammainc: each pair's F_d, then its branch term
+    upper_k, upper_x, upper_g = [], [], []  # gammaincc: psi term i at each end
+    for form, gamma_bar_c, gamma in items:
+        if gamma == 0.0:
+            staged.append(None)
+            continue
+        big_t = math.sqrt(gamma / gamma_bar_c)
+        m_split = big_t - form.mean_amp  # direct amplitude at the branch point
+        c1 = form.c1
+        c2 = m_split / form.two_var
+        c3 = m_split**2 / form.two_var
+        mu = c2 / c1
+        pref = math.exp(c2 * c2 / c1 - c3)
+        # direct_snr_cdf's argument; its gamma scale is Omega3 gamma_bar_d
+        lower_a.append(form.m3)
+        lower_x.append(form.m3 * gamma / (form.om3 * (gamma_bar_c * form.amp_direct**2)))
+        if m_split < 0.0:
+            ends = (0.0, big_t)
+        else:
+            ends = (0.0, m_split, big_t)
+            lower_a.append(form.m3)
+            lower_x.append(form.lam * m_split**2)
+        terms = len(form.ks)
+        for p in ends:
+            upper_x.extend([c1 * (p - mu) ** 2] * terms)
+        upper_k.extend(form.ks * len(ends))
+        upper_g.extend(form.gk * len(ends))
+        staged.append((form, big_t, m_split, mu, pref))
+    lower = iter(_sp.gammainc(lower_a, lower_x).tolist())
+    upper = (_sp.gammaincc(upper_k, upper_x) * upper_g).tolist()
+    out = []
+    at = 0  # where the current pair's psi terms start in upper
+    for item in staged:
+        if item is None:
+            out.append(0.0)
+            continue
+        form, big_t, m_split, mu, pref = item
+        terms = len(form.ks)
+        val = form.fd_coef * next(lower)
+        coefs = form._coefs(mu, pref)
+        u0, u1 = upper[at:at + terms], upper[at + terms:at + 2 * terms]
+        if m_split < 0.0:
+            at += 2 * terms
+            val += form.scale * form._psi(0.0, big_t, mu, coefs, u0, u1)
+        else:
+            u2 = upper[at + 2 * terms:at + 3 * terms]
+            at += 3 * terms
+            val += next(lower) / form.z_norm
+            val += form.scale * (
+                form._psi(m_split, big_t, mu, coefs, u1, u2)
+                - form._psi(0.0, m_split, mu, coefs, u0, u1)
+            )
+        out.append(min(max(val, 0.0), 1.0))
+    return out
 
 
 def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, gamma):
@@ -349,18 +397,28 @@ def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, ga
     gives an ndarray of the scalar values, bit for bit.  The constants that
     depend on neither gamma nor the transmit SNR are computed once per (fit,
     direct, amp_direct, amp_ris), so the links of one UAV at every transmit
-    power share them; gamma_bar_c is passed when they are evaluated.
+    power share them; gamma_bar_c is passed when they are evaluated, by the
+    kernel link_cdfs runs for every composite pair.
     """
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
     form = _closed_form(fit, direct, budget.amp_direct, budget.amp_ris)
+    gamma_bar_c = budget.gamma_bar_c
     if np.ndim(gamma) == 0:
-        return form((float(gamma),), budget.gamma_bar_c)[0]
-    return np.array(form(gamma.ravel().tolist(), budget.gamma_bar_c)).reshape(gamma.shape)
+        return _composite_cdfs([(form, gamma_bar_c, float(gamma))])[0]
+    values = _composite_cdfs([(form, gamma_bar_c, g) for g in gamma.ravel().tolist()])
+    return np.array(values).reshape(gamma.shape)
 
 
 def _half_integer_m(p: NakagamiParams) -> NakagamiParams:
     """p with m snapped to the nearest half-integer (at least 0.5)."""
     return NakagamiParams(m=max(0.5, round(2.0 * p.m) / 2.0), omega=p.omega)
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_fit(ris: RisLinkParams) -> LaguerreFit:
+    """fit_laguerre(ris) once per partition: the RIS-only and composite links
+    of one partition, at every transmit power, share it."""
+    return fit_laguerre(ris)
 
 
 @dataclass(frozen=True)
@@ -377,19 +435,82 @@ class Link:
         if self.direct is None and self.ris is None:
             raise ValueError("a link needs a direct path, a RIS path or both")
 
+    @property
+    def kind(self) -> str:
+        """Which of LINK_KINDS the link is."""
+        return "direct" if self.ris is None else "ris" if self.direct is None else "composite"
+
     @functools.cached_property
     def fit(self) -> LaguerreFit | None:
-        return None if self.ris is None else fit_laguerre(self.ris)
+        return None if self.ris is None else _shared_fit(self.ris)
+
+    @functools.cached_property
+    def _closed(self) -> _ClosedForm:
+        """The composite closed form's constants, at the snapped m3."""
+        b = self.budget
+        return _closed_form(self.fit, _half_integer_m(self.direct), b.amp_direct, b.amp_ris)
 
     def cdf(self, gamma):
         """SNR CDF at a scalar or array gamma: exact for the direct link,
-        Laguerre fit for the RIS-only link, closed form for the composite
-        link.  An array gives, element by element, the scalar values."""
-        if self.ris is None:
-            return direct_snr_cdf(self.direct, self.budget.gamma_bar_d, gamma)
-        if self.direct is None:
-            return ris_snr_cdf(self.fit, self.budget.gamma_bar_r, gamma)
-        return composite_snr_cdf_closed(self.fit, _half_integer_m(self.direct), self.budget, gamma)
+        Laguerre fit for the RIS-only link, closed form at the snapped m3 for
+        the composite link.  One link_cdfs call evaluates every gamma, so an
+        array gives, element by element, the scalar values."""
+        values = np.asarray(gamma, dtype=float)
+        out = link_cdfs((self,) * values.size, values.ravel().tolist())
+        return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
+
+
+def _direct_cdfs(links, gammas) -> list:
+    """direct_snr_cdf of each (direct link, gamma) pair, in one gammainc call."""
+    shapes = [link.direct.m for link in links]
+    return _sp.gammainc(shapes, [
+        m * g / (link.direct.omega * link.budget.gamma_bar_d)
+        for m, link, g in zip(shapes, links, gammas)
+    ]).tolist()
+
+
+def _ris_cdfs(links, gammas) -> list:
+    """ris_snr_cdf of each (RIS-only link, gamma) pair, in one gammainc call;
+    math.sqrt rounds like np.sqrt, both being IEEE square roots."""
+    fits = [link.fit for link in links]
+    return _sp.gammainc([fit.a for fit in fits], [
+        math.sqrt(g / link.budget.gamma_bar_r) / fit.b
+        for fit, link, g in zip(fits, links, gammas)
+    ]).tolist()
+
+
+def _link_composite_cdfs(links, gammas) -> list:
+    """Link.cdf of each (composite link, gamma) pair, by _composite_cdfs."""
+    return _composite_cdfs([(link._closed, link.budget.gamma_bar_c, g)
+                            for link, g in zip(links, gammas)])
+
+
+_KERNELS = {"direct": _direct_cdfs, "ris": _ris_cdfs, "composite": _link_composite_cdfs}
+
+
+def link_cdfs(links, gammas) -> list:
+    """SNR CDF of links[i] at gammas[i] for every i, as a list of floats.
+
+    The pairs are grouped by link kind and each group is evaluated in one
+    pass: one gammainc call for the direct pairs, one for the RIS-only
+    pairs, and for the composite pairs one gammainc call (every F_d and
+    branch term) and one gammaincc call (every psi term at every interval
+    end).  scipy.special's ufuncs give each element the bits of a scalar
+    call, so a value does not depend on the batch it is evaluated in.
+    """
+    if len(links) != len(gammas):
+        raise ValueError("need one gamma per link")
+    if any(g < 0.0 for g in gammas):
+        raise ValueError("gamma must be nonnegative")
+    groups = {}
+    for i, link in enumerate(links):
+        groups.setdefault(link.kind, []).append(i)
+    out = [0.0] * len(gammas)
+    for kind, where in groups.items():
+        values = _KERNELS[kind]([links[i] for i in where], [gammas[i] for i in where])
+        for i, value in zip(where, values):
+            out[i] = value
+    return out
 
 
 LINK_KINDS = ("direct", "ris", "composite")

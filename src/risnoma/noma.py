@@ -183,25 +183,27 @@ def point_outages(points):
 
     points[k] is (links, alloc, rates) with links[m - 1] rank m's link; the
     result holds one list per point with one outage per rank.  Each distinct
-    (beta, rates) gets its binding SIC thresholds once.  Per rank, each
-    distinct link's thresholds go through one Link.cdf array call and all the
-    points through one ordered_cdf call; both give every value the bits of a
-    scalar call.  An allocation that breaks SIC raises
+    (beta, rates) gets its binding SIC thresholds once.  The distinct (link,
+    threshold) pairs of all ranks go through one channels.link_cdfs call,
+    which runs each special function once per link kind, and each rank's
+    distinct parent values through one ordered_cdf call; both give every
+    value the bits of a scalar call.  An allocation that breaks SIC raises
     InfeasibleAllocationError.
     """
     points, m_users = _operating_points(points)
     allocs = {(alloc.beta, rates): alloc for _, alloc, rates in points}
     thresholds = {key: _binding_thresholds(alloc, key[1]) for key, alloc in allocs.items()}
+    pairs = {}  # (link, threshold) -> its place in the link_cdfs batch
+    slots = [[pairs.setdefault((links[m], thresholds[alloc.beta, rates][m]), len(pairs))
+              for links, alloc, rates in points] for m in range(m_users)]
+    parent = ch.link_cdfs([link for link, _ in pairs], [g for _, g in pairs])
     outages = [[0.0] * m_users for _ in points]
-    for rank in range(1, m_users + 1):
-        groups = _rank_groups(points, rank)
-        parent = np.concatenate([
-            link.cdf(np.array([thresholds[key][rank - 1] for key in by_point]))
-            for link, by_point in groups.items()])
-        indices = [ks for by_point in groups.values() for ks in by_point.values()]
-        for out, ks in zip(ordered_cdf(parent, rank, m_users).tolist(), indices):
-            for k in ks:
-                outages[k][rank - 1] = out
+    for rank, rank_slots in enumerate(slots, start=1):
+        distinct = list(dict.fromkeys(rank_slots))
+        scores = ordered_cdf([parent[i] for i in distinct], rank, m_users).tolist()
+        by_slot = dict(zip(distinct, scores))
+        for out, i in zip(outages, rank_slots):
+            out[rank - 1] = by_slot[i]
     return outages
 
 
@@ -215,8 +217,8 @@ class OutageModel:
     An outage depends on beta only through the rank's binding SIC threshold,
     so the model keeps every allocation's thresholds and every (rank, N,
     threshold) score it has computed, and computes each once.  Scores are
-    computed a rank at a time: the thresholds not seen before go through the
-    link CDF and ordered_cdf in one array call each, which gives every value
+    computed a rank at a time: the thresholds not seen before go through one
+    channels.link_cdfs call and one ordered_cdf call, which give every value
     the bits a scalar call gives it.
     """
 
@@ -278,12 +280,12 @@ class OutageModel:
 
     def _rank_outages(self, rank: int, n_elements: int, thresholds):
         """Ordered CDF of the rank's link at each threshold; the thresholds
-        not scored before are scored in one array pass."""
+        not scored before are scored in one pass."""
         if self.link_type == "direct":
             n_elements = 0  # the direct link is the same at every N
         scores = self._scores.setdefault((rank, n_elements), {})
         new = [g for g in dict.fromkeys(thresholds) if g not in scores]
         if new:
-            parent = self.link(rank, n_elements).cdf(np.array(new))
+            parent = ch.link_cdfs([self.link(rank, n_elements)] * len(new), new)
             scores.update(zip(new, ordered_cdf(parent, rank, self.m_users).tolist()))
         return [scores[g] for g in thresholds]

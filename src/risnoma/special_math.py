@@ -5,9 +5,9 @@ ufuncs behind them) with explicit domain checks.  scipy.special provides the
 accuracy the closed-form outage expressions need without a hand-rolled
 Lanczos/continued-fraction stack, and its ufuncs give each element of an
 array the bits a scalar call gives it.  A Python float or int argument
-(np.float64 included) is domain-checked without building an array.  The
-composite closed form calls scipy.special directly inside its series, after
-one gamma >= 0 check at its entry.
+(np.float64 included) is domain-checked without building an array.
+channels.link_cdfs calls scipy.special directly, once per link kind over a
+whole batch of (link, gamma) pairs, after one gamma >= 0 check at its entry.
 """
 
 from __future__ import annotations

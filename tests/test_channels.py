@@ -488,6 +488,125 @@ class TestLinkCdfArrays:
             assert 0.0 < max(scalars) and min(scalars[1:]) < 1.0
 
 
+def _scalar_closed_form(form, gamma_bar_c: float, gamma: float) -> float:
+    """The composite closed form one gamma at a time, with its special
+    functions called per gamma and a psi sum per integral: the reference for
+    the batched kernel, from form's constants."""
+    if gamma == 0.0:
+        return 0.0
+    ks_col = np.array(form.ks)[:, None]
+    gamma_k = special.gamma(ks_col)
+    n = form.n_pow
+
+    def psi(p1, p2, mu, pref, upper1, upper2):
+        if p2 <= p1:
+            return 0.0
+        total = 0.0
+        for i in range(n + 1):
+            rho = form.binom[i] * pref * mu ** (n - i)
+            if p1 >= mu or i % 2 == 1:
+                bracket = upper1[i] - upper2[i]
+            elif p2 <= mu:
+                bracket = upper2[i] - upper1[i]
+            else:
+                low = form.gk[i] - upper1[i]
+                high = form.gk[i] - upper2[i]
+                bracket = low + high
+            total += rho / form.two_c1k[i] * bracket
+        return total
+
+    direct_scale = form.om3 * (gamma_bar_c * form.amp_direct**2)
+    big_t = math.sqrt(gamma / gamma_bar_c)
+    m_split = big_t - form.mean_amp
+    c1 = form.c1
+    c2 = m_split / form.two_var
+    c3 = m_split**2 / form.two_var
+    mu = c2 / c1
+    pref = math.exp(c2 * c2 / c1 - c3)
+    f_d = float(special.gammainc(form.m3, form.m3 * gamma / direct_scale))
+    val = form.fd_coef * f_d
+    ends = (0.0, big_t) if m_split < 0.0 else (0.0, m_split, big_t)
+    upper = (special.gammaincc(ks_col, [c1 * (p - mu) ** 2 for p in ends]) * gamma_k).T.tolist()
+    if m_split < 0.0:
+        val += form.scale * psi(0.0, big_t, mu, pref, upper[0], upper[1])
+    else:
+        val += float(special.gammainc(form.m3, form.lam * m_split**2)) / form.z_norm
+        val += form.scale * (
+            psi(m_split, big_t, mu, pref, upper[1], upper[2])
+            - psi(0.0, m_split, mu, pref, upper[0], upper[1])
+        )
+    return min(max(val, 0.0), 1.0)
+
+
+def _mixed_pairs():
+    """(link, gamma) pairs of every kind: the default drop's three UAVs at
+    N = 1, 16 and 64, and the Table-I link at three pinned m3 (snapped to
+    n_pow 1, 2 and 4); gamma = 0, and for composite links points on both
+    sides of the branch point gamma_bar_c (ghat_r E[S])^2."""
+    links = []
+    for channel in _default_links():
+        links.append(channel.link("direct", 0))
+        for n in (1, 16, 64):
+            links += [channel.link("ris", n), channel.link("composite", n)]
+    for m_direct in (1.0, 1.5, 2.4):
+        links.append(_table_i_link(m_direct=m_direct).link("composite", 16))
+    pairs = []
+    for link in links:
+        b = link.budget
+        mean_amp = ((0.0 if link.ris is None else b.amp_ris * link.fit.mean_sum)
+                    + (0.0 if link.direct is None else b.amp_direct))
+        scale = b.gamma_bar_c * mean_amp**2
+        if link.kind == "composite":
+            branch = b.gamma_bar_c * (b.amp_ris * link.fit.mean_sum) ** 2
+            gammas = [0.0, 0.3 * branch, 0.97 * branch, 1.03 * branch, 2.0 * scale]
+        else:
+            gammas = [0.0, 0.1 * scale, scale, 3.0 * scale]
+        pairs += [(link, g) for g in gammas]
+    return pairs
+
+
+def test_link_cdfs_batch_is_singletons_bit_for_bit():
+    pairs = _mixed_pairs()
+    links, gammas = [link for link, _ in pairs], [g for _, g in pairs]
+    composite = [(l, g) for l, g in pairs if l.kind == "composite" and g > 0.0]
+    # the cover the kernel needs: both branches, and several psi lengths
+    assert {math.sqrt(g / l.budget.gamma_bar_c) < l._closed.mean_amp for l, g in composite} == {
+        True, False}
+    assert {l._closed.n_pow for l, _ in composite} >= {1, 2, 4}
+    assert {l.kind for l in links} == set(LINK_KINDS)
+    batch = channels.link_cdfs(links, gammas)
+    assert all(type(v) is float for v in batch)
+    single = [channels.link_cdfs([link], [g])[0] for link, g in pairs]
+    reverse = channels.link_cdfs(links[::-1], gammas[::-1])[::-1]
+    via_link = [link.cdf(g) for link, g in pairs]
+    public = []
+    for link, g in pairs:
+        b = link.budget
+        if link.kind == "direct":
+            public.append(direct_snr_cdf(link.direct, b.gamma_bar_d, g))
+        elif link.kind == "ris":
+            public.append(ris_snr_cdf(link.fit, b.gamma_bar_r, g))
+        else:
+            snapped = channels._half_integer_m(link.direct)
+            public.append(composite_snr_cdf_closed(link.fit, snapped, b, g))
+    reference = [_scalar_closed_form(l._closed, l.budget.gamma_bar_c, g) if l.kind == "composite"
+                 else v for (l, g), v in zip(pairs, public)]
+    want = [v.hex() for v in batch]
+    for got in (single, reverse, via_link, public, reference):
+        assert [float(v).hex() for v in got] == want
+    assert all(v == 0.0 for v, g in zip(batch, gammas) if g == 0.0)
+
+
+def test_link_cdfs_empty_and_domain():
+    channel = _default_links()[0]
+    link = channel.link("composite", 16)
+    assert channels.link_cdfs([], []) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        channels.link_cdfs([link, channel.link("ris", 4)], [1.0, -1e-300])
+    with pytest.raises(ValueError, match="one gamma per link"):
+        channels.link_cdfs([link], [1.0, 2.0])
+
+
 class TestCompositeClosed:
     def test_array_matches_scalars(self):
         # any shape; elements are the scalar values bit for bit, and a 0-d
@@ -649,7 +768,7 @@ class TestLinkResolution:
         assert calls == {"los_probability": pairs, "path_loss_amplitude": pairs}
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_RESOLVE_LINKS))
-    def test_golden_floats(self, key):
+    def test_golden_floats(self, recorded_stack, key):
         shapes, drop = key.split("/")
         pins = {"fitted": {}, "pinned": {"m_direct": 1.5, "m_hops": 2.0}}[shapes]
         scen = generate_scenario(ScenarioConfig(), int(drop))
@@ -657,7 +776,7 @@ class TestLinkResolution:
                    link.direct_fading.m, link.hop_g2r.m, link.hop_r2a.m,
                    link.amp_direct, link.amp_ris, link.gamma_bar_c)])
                for link in resolve_links(EnvironmentParams(), scen, **pins)]
-        assert got == GOLDEN_RESOLVE_LINKS[key]
+        assert got == GOLDEN_RESOLVE_LINKS[key], recorded_stack
 
 
 class TestLinkBudget:

@@ -13,7 +13,6 @@ import pytest
 import yaml
 
 from risnoma import channels, expcli, noma, sim_oracle
-from risnoma.channels import Link
 from risnoma.environment import transmit_snr
 from risnoma.expcli import (
     EXIT_CONFIG,
@@ -305,11 +304,11 @@ BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 @pytest.mark.parametrize("config, drop", sorted(GOLDEN_SCALAR_SWEEP), ids=lambda v: str(v))
-def test_scalar_sweep_golden_floats(tmp_path, config, drop):
+def test_scalar_sweep_golden_floats(tmp_path, recorded_stack, config, drop):
     cfg = load_config(BENCH_CONFIGS / f"{config}.yaml")
     runner = {"sweep-power": expcli.run_sweep_power, "sweep-rate": expcli.run_sweep_rate}[config]
     got = tuple(float(row[4]).hex() for row in runner(cfg, drop, tmp_path, False))
-    assert got == GOLDEN_SCALAR_SWEEP[config, drop]
+    assert got == GOLDEN_SCALAR_SWEEP[config, drop], recorded_stack
 
 
 # MC columns (outage_mc and mc_halfwidth, as float.hex) of the same sweeps and
@@ -320,7 +319,7 @@ GOLDEN_SCALAR_SWEEP_MC = json.loads(
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_SCALAR_SWEEP_MC))
-def test_scalar_sweep_mc_golden_floats(tmp_path, key):
+def test_scalar_sweep_mc_golden_floats(tmp_path, recorded_stack, key):
     config, beta, drop = key.split("/")
     cfg = load_config(BENCH_CONFIGS / f"{config}.yaml")
     cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, trials=2000))
@@ -329,7 +328,7 @@ def test_scalar_sweep_mc_golden_floats(tmp_path, key):
     runner = {"sweep-power": expcli.run_sweep_power, "sweep-rate": expcli.run_sweep_rate}[config]
     got = [f"{float(row[5]).hex()} {float(row[6]).hex()}"
            for row in runner(cfg, int(drop), tmp_path, True)]
-    assert got == GOLDEN_SCALAR_SWEEP_MC[key]
+    assert got == GOLDEN_SCALAR_SWEEP_MC[key], recorded_stack
 
 
 # outage_analytic column (as float.hex) of sweep-links at the benchmark's
@@ -340,13 +339,13 @@ GOLDEN_SWEEP_LINKS = json.loads(
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_SWEEP_LINKS))
-def test_sweep_links_golden_floats(tmp_path, key):
+def test_sweep_links_golden_floats(tmp_path, recorded_stack, key):
     fading, drop = key.split("/")
     cfg = load_config(BENCH_CONFIGS / "sweep-links.yaml")
     if fading == "pinned":
         cfg = dataclasses.replace(cfg, channel=expcli.ChannelBlock(m_direct=1.5, m_hops=2.0))
     got = [float(row[4]).hex() for row in expcli.run_sweep_links(cfg, int(drop), tmp_path, False)]
-    assert got == GOLDEN_SWEEP_LINKS[key]
+    assert got == GOLDEN_SWEEP_LINKS[key], recorded_stack
 
 
 class TestRuomCommand:
@@ -563,18 +562,43 @@ class TestCurveScoring:
         expcli.run_sweep_power(cfg, 1, tmp_path, False)
         assert channels._closed_form.cache_info().misses == cfg.scenario.n_uavs
 
+    @pytest.mark.parametrize("name, runner", [
+        ("sweep-links", expcli.run_sweep_links),
+        ("sweep-power", expcli.run_sweep_power),
+    ])
+    def test_one_fit_per_rank_and_n(self, tmp_path, monkeypatch, name, runner):
+        # the RIS-only and composite links of one (rank, N), and a rank's
+        # links at every transmit power, share one Laguerre fit
+        fits = []
+        fit = channels.fit_laguerre
+
+        def counted_fit(ris):
+            fits.append(ris)
+            return fit(ris)
+
+        monkeypatch.setattr(channels, "fit_laguerre", counted_fit)
+        channels._shared_fit.cache_clear()
+        cfg = self._config(name)
+        runner(cfg, 1, tmp_path, False)
+        grid = cfg.sweep.grid if name == "sweep-links" else [cfg.sweep.fixed_n_elements]
+        drop = expcli._resolved_links(cfg, 1)
+        partitions = [link.ris_params(n) for link in drop for n in grid if n > 0]
+        assert len(set(partitions)) == len(partitions)  # one per (rank, N) on this drop
+        assert sorted(fits, key=partitions.index) == partitions
+
     def test_sweep_rate_scores_each_rank_in_one_cdf_call(self, tmp_path, monkeypatch):
+        # every rank's grid thresholds go through one link_cdfs call
         calls = []
-        cdf = Link.cdf
+        cdfs = channels.link_cdfs
 
-        def counted_cdf(self, gamma):
-            calls.append(np.size(gamma))
-            return cdf(self, gamma)
+        def counted_cdfs(links, gammas):
+            calls.append(len(gammas))
+            return cdfs(links, gammas)
 
-        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        monkeypatch.setattr(channels, "link_cdfs", counted_cdfs)
         cfg = self._config("sweep-rate")
         expcli.run_sweep_rate(cfg, 1, tmp_path, False)
-        assert calls == [len(cfg.sweep.grid)] * cfg.scenario.n_uavs
+        assert calls == [len(cfg.sweep.grid) * cfg.scenario.n_uavs]
 
     @pytest.mark.parametrize("name, runner, expected", [
         ("sweep-links", expcli.run_sweep_links, 1),

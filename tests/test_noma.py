@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from risnoma import noma
-from risnoma.channels import LINK_KINDS, Link, LinkChannel, NakagamiParams, resolve_links
+from risnoma import channels, noma
+from risnoma.channels import LINK_KINDS, LinkChannel, NakagamiParams, resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import (
     InfeasibleAllocationError,
@@ -381,15 +381,15 @@ class TestOutagesMemo:
             [x.hex() for x in outs] for outs in single]
 
     def test_batch_scores_each_rank_in_one_cdf_call(self, monkeypatch):
-        # one Link.cdf call per rank, over the thresholds not scored before
+        # one link_cdfs call per rank, over the thresholds not scored before
         calls = []
-        cdf = Link.cdf
+        cdfs = channels.link_cdfs
 
-        def counted_cdf(self, gamma):
-            calls.append(np.atleast_1d(gamma).tolist())
-            return cdf(self, gamma)
+        def counted_cdfs(links, gammas):
+            calls.append(list(gammas))
+            return cdfs(links, gammas)
 
-        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        monkeypatch.setattr(channels, "link_cdfs", counted_cdfs)
         model = self._model("composite")
         allocs = _feasible_allocations(self.RATES, 8, seed=6)
         model.outages(allocs[0], (64, 1, 0))
@@ -404,13 +404,13 @@ class TestOutagesMemo:
     def test_direct_link_scored_once_across_element_counts(self, monkeypatch):
         # a direct-only link is the same at every N, so its score is too
         calls = []
-        cdf = Link.cdf
+        cdfs = channels.link_cdfs
 
-        def counted_cdf(self, gamma):
-            calls.extend(np.atleast_1d(gamma).tolist())
-            return cdf(self, gamma)
+        def counted_cdfs(links, gammas):
+            calls.extend(gammas)
+            return cdfs(links, gammas)
 
-        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        monkeypatch.setattr(channels, "link_cdfs", counted_cdfs)
         model, fresh = self._model("direct"), self._model("direct")
         alloc = _feasible_allocations(self.RATES, 1, seed=8)[0]
         first = model.outages(alloc, (0, 0, 0))
@@ -483,19 +483,23 @@ class TestCurve:
         assert sizes == [1] * 3  # the direct link is the same at every N
 
     def test_equal_links_share_one_cdf_call(self, monkeypatch):
+        # every rank's distinct (link, threshold) pairs go through one
+        # link_cdfs call; links built apart but equal by value are one link
         calls = []
-        cdf = Link.cdf
+        cdfs = channels.link_cdfs
 
-        def counted_cdf(self, gamma):
-            calls.append(np.size(gamma))
-            return cdf(self, gamma)
+        def counted_cdfs(links, gammas):
+            calls.append(len(gammas))
+            return cdfs(links, gammas)
 
-        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        monkeypatch.setattr(channels, "link_cdfs", counted_cdfs)
         alloc = PowerAllocation((0.7, 0.2, 0.1))
         rate_grid = (0.2, 0.3, 0.4, 0.5)
-        points = [point for r in rate_grid for point in self._points(alloc, (64,), rates=(r,) * 3)]
+        points = [point for r in rate_grid + rate_grid
+                  for point in self._points(alloc, (64,), rates=(r,) * 3)]
         outs = point_outages(points)
-        assert calls == [len(rate_grid)] * 3  # built apart, equal by value
+        assert calls == [len(rate_grid) * 3]
+        assert outs[:len(rate_grid)] == outs[len(rate_grid):]
         for r, got in zip(rate_grid, outs):
             model = OutageModel(self._model("composite").links, (r,) * 3, "composite")
             assert got == model.outages(alloc, (64, 64, 64))

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risnoma import expcli
-from risnoma.channels import Link, resolve_links
+from risnoma import channels, expcli
+from risnoma.channels import resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import OutageModel, PowerAllocation
 from risnoma.ruom import (
@@ -350,16 +350,16 @@ class TestRuom:
         # beta enters an outage only through the rank's binding SIC threshold,
         # so one solve evaluates each (rank, N, threshold) once; the model holds
         # one Link per (rank, N), so (link, gamma) names the key.  A call may
-        # pass an array of thresholds: each element counts as one evaluation
+        # pass many pairs: each pair counts as one evaluation
         model = _model(n_uavs=4, rates=0.5, seed=1)
         calls = []
-        cdf = Link.cdf
+        cdfs = channels.link_cdfs
 
-        def counted_cdf(self, gamma):
-            calls.extend((id(self), g) for g in np.atleast_1d(gamma).tolist())
-            return cdf(self, gamma)
+        def counted_cdfs(links, gammas):
+            calls.extend((id(link), g) for link, g in zip(links, gammas))
+            return cdfs(links, gammas)
 
-        monkeypatch.setattr(Link, "cdf", counted_cdf)
+        monkeypatch.setattr(channels, "link_cdfs", counted_cdfs)
         ruom(model, RuomParams())
         assert calls
         assert len(calls) == len(set(calls))
@@ -466,7 +466,7 @@ BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
 @pytest.mark.parametrize("config, drop", sorted(GOLDEN_RUOM), ids=lambda v: str(v))
-def test_ruom_report_golden_floats(tmp_path, config, drop):
+def test_ruom_report_golden_floats(tmp_path, recorded_stack, config, drop):
     cfg = expcli.load_config(BENCH_CONFIGS / f"{config}.yaml")
     (final,) = expcli.run_ruom_report(cfg, drop, tmp_path).values()
     got = (
@@ -474,4 +474,4 @@ def test_ruom_report_golden_floats(tmp_path, config, drop):
         tuple(final["final_n"]),
         tuple(float(o).hex() for o in final["final_outages"]),
     )
-    assert got == GOLDEN_RUOM[config, drop]
+    assert got == GOLDEN_RUOM[config, drop], recorded_stack
