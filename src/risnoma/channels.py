@@ -254,8 +254,8 @@ class _ClosedForm:
     the psi sum that _composite_cdfs evaluates with them.
 
     Every expression is the one the closed form has always evaluated, in the
-    same order and with the same Python or scipy.special call, so a value has
-    the same bits whichever pairs it is evaluated with.
+    same order and with the same Python operation or scipy.special function,
+    so a value has the same bits whichever pairs it is evaluated with.
     """
 
     def __init__(self, fit: LaguerreFit, direct: NakagamiParams, amp_direct: float,
