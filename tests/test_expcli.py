@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from risnoma import channels, expcli, noma, sim_oracle
+from risnoma import __version__, channels, expcli, noma, sim_oracle
 from risnoma.environment import transmit_snr
 from risnoma.expcli import (
     EXIT_CONFIG,
@@ -820,3 +821,93 @@ class TestDeterminism:
         assert main(["sweep-links", "--config", str(cfg), "--seed", "8",
                      "--out", str(out_b)]) == EXIT_OK
         assert (out_a / "sweep_links.csv").read_bytes() != (out_b / "sweep_links.csv").read_bytes()
+
+
+def _json_reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _plain(value):
+    """value with its dataclasses turned into dicts, as json.dumps needs."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class TestWriterBytes:
+    """Result files are rendered in memory and written fresh; their bytes are
+    those of csv.writer and json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("config", [None] + sorted(p.stem for p in BENCH_CONFIGS.glob("*.yaml")))
+    def test_manifest_equals_json_dumps(self, tmp_path, config):
+        cfg = ExperimentConfig() if config is None else load_config(BENCH_CONFIGS / f"{config}.yaml")
+        expcli._write_manifest(tmp_path, cfg, 11)
+        want = {"config": dataclasses.asdict(cfg), "seed": 11, "package_version": __version__}
+        assert (tmp_path / "manifest.json").read_bytes() == _json_reference(want).encode()
+
+    def test_ruom_summary_equals_json_dumps(self, tmp_path):
+        cfg = load_config(_write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, 0.5]\n"))
+        summary = expcli.run_ruom_report(cfg, 7, tmp_path)
+        assert (tmp_path / "ruom_summary.json").read_text() == _json_reference(summary)
+
+    def test_validate_report_equals_json_dumps(self, tmp_path):
+        cfg = load_config(BENCH_CONFIGS / "validate.yaml")
+        cfg = dataclasses.replace(cfg, mc=dataclasses.replace(cfg.mc, trials=2000, batch=2000))
+        report = expcli.validate(cfg, 1, tmp_path)
+        assert (tmp_path / "validate_report.json").read_text() == _json_reference(report)
+
+    @pytest.mark.parametrize("value", [
+        "plain", "é ü ☃ \U0001f600", "quote \" backslash \\ \n\r\t\b\f \x00 \x1f \x7f",
+        {}, [], (), {"": {}, "b": [], "a": ()}, ((1, (2, ())), [(3.5,)]),
+        [True, 1, False, 0, None, 1.0, "1"], {"true": True, "one": 1},
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, 2**70, -3],
+        [np.float64(0.1), np.float64(-1e-300), np.float64(math.nan)],
+        {"z": 1, "a": 2, "B": 3, "é": 4, "_": 5},
+        {1: "int key", 2: [{"nested": 3}]},
+        {"keys": {2.5: "float", 1: "int", False: "bool"}},
+        [ExperimentConfig().channel, (expcli.NomaBlock(), {"mc": expcli.McBlock()})],
+    ], ids=repr)
+    def test_json_edge_values(self, value):
+        assert expcli._json_text(value) == _json_reference(_plain(value))
+
+    @pytest.mark.parametrize("value", [{1: "a", "b": 2}, np.int64(3), {"a": object()}, {3}])
+    def test_json_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            expcli._json_text(value)
+
+    def test_csv_equals_csv_writer(self, tmp_path):
+        cfg = load_config(_write(tmp_path, FAST_YAML))
+        rows = expcli.run_sweep_links(cfg, 7, tmp_path, False)
+        rows += [("x", 2.5, 2, "ris", -1e-300, None, np.float64(0.25)),
+                 ("y", -0.0, np.int64(4), "direct", math.inf, math.nan, None)]
+        assert any(None in row for row in rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(expcli.SWEEP_COLUMNS)
+            for row in rows:
+                writer.writerow([expcli._fmt(v) for v in row])
+        expcli._write_csv(tmp_path / "new.csv", expcli.SWEEP_COLUMNS, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_rewrite_leaves_only_new_bytes(self, tmp_path):
+        path = tmp_path / "sweep_links.csv"
+        path.write_text("old,row\n" * 1000)
+        expcli._write_csv(path, ("a", "b"), [(1, 0.5)])
+        assert path.read_bytes() == b"a,b\n1,5.000000000000e-01\n"
+
+    def test_symlink_is_replaced_not_written_through(self, tmp_path):
+        target = tmp_path / "elsewhere.json"
+        target.write_text("keep me")
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        (out_dir / "manifest.json").symlink_to(target)
+        expcli._write_manifest(out_dir, ExperimentConfig(), 3)
+        assert not (out_dir / "manifest.json").is_symlink()
+        assert target.read_text() == "keep me"
+        assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 3
