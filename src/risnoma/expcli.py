@@ -424,9 +424,8 @@ def _write_file(path: Path, text: str):
 
     Whatever was at path is unlinked first, so a symlink there is replaced,
     not written through.  Rewriting a 108-row sweep CSV in place took 86 us
-    against 29 us for unlink and create (ext4 mounted with discard, 2 vCPU),
-    about as much as rendering a manifest.  newline="" keeps "\n" line ends
-    on every platform.
+    against 29 us for unlink and create (ext4 mounted with discard, 2 vCPU).
+    newline="" keeps "\n" line ends on every platform.
     """
     path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
