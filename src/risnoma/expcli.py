@@ -3,10 +3,7 @@
 Every runner writes schema-stable CSV plus a JSON run manifest into the
 output directory; reruns with identical config and seed are byte-identical.
 Each result file is rendered whole in memory (the bytes csv.writer and
-json.dumps(indent=2, sort_keys=True) would write) and written as a new file
-in one call: an existing file, or a symlink, at its path is unlinked first,
-since truncating a file cost about three times as much as creating one on
-ext4.
+json.dumps(indent=2, sort_keys=True) would write) and written in one call.
 Transmit power in dBm becomes the linear transmit SNR P_t / P_N at the config
 boundary (environment.transmit_snr, inside resolve_links and for the
 sweep-power grid); everything downstream works in linear units.
@@ -16,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import numbers
 import sys
@@ -384,9 +380,7 @@ def _json_text(obj, newline="\n") -> str:
 
     Python 3.11 encodes with indent through its pure-Python encoder; this walk
     builds the same text with fewer calls.  newline is a line break plus the
-    indent of obj's own level.  A dict with a key that is not a string (json
-    turns 1 into "1" and refuses mixed types) and any other type go to json
-    itself, which raises TypeError for what it cannot encode.
+    indent of obj's own level.  Dict keys must be strings.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -410,24 +404,18 @@ def _json_text(obj, newline="\n") -> str:
             return "[]"
         items = [_json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_file(path: Path, text: str):
-    """Write text as a new file at path, in one call.
-
-    Whatever was at path is unlinked first, so a symlink there is replaced,
-    not written through.  Rewriting a 108-row sweep CSV in place took 86 us
-    against 29 us for unlink and create (ext4 mounted with discard, 2 vCPU).
-    newline="" keeps "\n" line ends on every platform.
-    """
-    path.unlink(missing_ok=True)
+    """Write text to path in one call; newline="" keeps "\n" line ends on
+    every platform."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

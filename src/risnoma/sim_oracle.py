@@ -114,9 +114,7 @@ def _element_sums(ris: RisLinkParams, counts, rng, shape) -> dict:
             rng.standard_gamma(r2a.m, out=other)
             row *= other
         np.sqrt(prod, out=prod)
-        # row i: elements lo+1 .. lo+i+1; the sequential sum of a cumsum over
-        # axis 0, but contiguous row adds instead of a strided walk
-        for i in range(1, k):
+        for i in range(1, k):  # row i: elements lo+1 .. lo+i+1
             np.add(prod[i - 1], prod[i], out=prod[i])
         for n in wanted:
             if lo < n <= lo + k:
