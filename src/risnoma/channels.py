@@ -26,7 +26,18 @@ The composite closed form's other arithmetic stays per pair in Python
 floats, in its original order: its ** and math.exp calls, because numpy's
 SIMD power and exp can differ from them in the last bit, and its sums,
 because numpy would add them in another order.  So a value has the same
-bits whichever batch it is evaluated in."""
+bits whichever batch it is evaluated in.
+
+A link's Laguerre fit and closed-form constants are computed when it is
+built, from parts its LinkChannel computes once: the element moments of its
+two hops; m3 snapped to a half-integer with its psi-term constants, lambda,
+lambda^m3 and Gamma(m3); and ghat_d and ghat_r.  Each element count N gets
+its fit and constants once per channel, from those parts with the
+expressions and operation order fit_laguerre and the closed form have always
+used, and LinkChannel.at_snr gives the channel at another transmit SNR with
+the same parts, so a sweep's power points share them.  Nothing is cached
+across channels beyond the element moments (keyed by the two hops) and the
+psi-term constants (keyed by n)."""
 
 from __future__ import annotations
 
@@ -66,16 +77,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NakagamiParams:
-    """Nakagami fading shape m (>= 0.5) and average power omega."""
+    """Nakagami fading shape m (a finite number >= 0.5) and average power
+    omega (a finite number > 0)."""
 
     m: float
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.m < 0.5:
-            raise ValueError("Nakagami shape must be >= 0.5")
-        if self.omega <= 0:
-            raise ValueError("average fading power must be positive")
+        if not (self.m >= 0.5 and math.isfinite(self.m)):
+            raise ValueError(f"Nakagami shape must be a finite number >= 0.5, got {self.m!r}")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValueError(
+                f"average fading power must be a finite number > 0, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +141,8 @@ class LinkBudget:
     def __post_init__(self):
         if not self.gamma_bar_c > 0:
             raise ValueError("gamma_bar_c must be positive")
-        if min(self.amp_direct, self.amp_ris) < 0:
-            raise ValueError("path-loss amplitudes must be nonnegative")
+        if not (self.amp_direct >= 0 and self.amp_ris >= 0):
+            raise ValueError("path-loss amplitudes must be nonnegative numbers")
 
     @property
     def gamma_bar_d(self) -> float:
@@ -145,9 +158,21 @@ def double_nakagami_moment(p1: NakagamiParams, p2: NakagamiParams, n: int) -> fl
     prod_j Gamma(m_j + n/2)/Gamma(m_j) * (Omega_j/m_j)^(n/2)."""
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    out = 1.0
-    for p in (p1, p2):
-        out *= gamma_fn(p.m + n / 2.0) / gamma_fn(p.m) * (p.omega / p.m) ** (n / 2.0)
+    return _product_moments(p1, p2, (n,))[0]
+
+
+def _product_moments(p1: NakagamiParams, p2: NakagamiParams, orders) -> list:
+    """double_nakagami_moment of each order, with every Gamma value from one
+    scipy.special.gamma call, which gives each element a scalar call's bits."""
+    hops = (p1, p2)
+    args = [p.m for p in hops] + [p.m + n / 2.0 for n in orders for p in hops]
+    gammas = _sp.gamma(args).tolist()
+    out = []
+    for j, n in enumerate(orders, start=1):
+        moment = 1.0
+        for i, p in enumerate(hops):
+            moment *= gammas[2 * j + i] / gammas[i] * (p.omega / p.m) ** (n / 2.0)
+        out.append(moment)
     return out
 
 
@@ -155,21 +180,13 @@ def double_nakagami_moment(p1: NakagamiParams, p2: NakagamiParams, n: int) -> fl
 def _element_moments(hop_g2r: NakagamiParams, hop_r2a: NakagamiParams):
     """Mean and variance of one element's product amplitude; every N of a
     pair of hops shares them."""
-    mean_i = double_nakagami_moment(hop_g2r, hop_r2a, 1)
-    second_i = double_nakagami_moment(hop_g2r, hop_r2a, 2)
+    mean_i, second_i = _product_moments(hop_g2r, hop_r2a, (1, 2))
     return mean_i, second_i - mean_i**2
 
 
 def fit_laguerre(ris: RisLinkParams) -> LaguerreFit:
     """Moment-matched gamma fit to the sum of n_elements i.i.d. products."""
-    mean_i, var_i = _element_moments(ris.hop_g2r, ris.hop_r2a)
-    n = ris.n_elements
-    return LaguerreFit(
-        a=n * mean_i**2 / var_i,
-        b=var_i / mean_i,
-        mean_sum=n * mean_i,
-        var_sum=n * var_i,
-    )
+    return _LinkParts(ris.hop_g2r, ris.hop_r2a).fit(ris.n_elements)
 
 
 def ris_snr_cdf(fit: LaguerreFit, gamma_bar_r: float, gamma):
@@ -248,18 +265,13 @@ def _psi_terms(n: int):
     return binom, ks, tuple(_sp.gamma(np.array(ks)).tolist())
 
 
-class _ClosedForm:
-    """The constants of composite_snr_cdf_closed for one (fit, direct,
-    amp_direct, amp_ris), which depend on neither gamma nor gamma_bar_c, and
-    the psi sum that _composite_cdfs evaluates with them.
+class _DirectPart:
+    """The constants of the composite closed form that depend only on the
+    direct path: m3 (within 1e-6 of a half-integer), n = 2 m3 - 1 and the psi
+    terms of x^n, Omega3, ghat_d, lambda = m3 / (Omega3 ghat_d^2), lambda^m3
+    and Gamma(m3)."""
 
-    Every expression is the one the closed form has always evaluated, in the
-    same order and with the same Python operation or scipy.special function,
-    so a value has the same bits whichever pairs it is evaluated with.
-    """
-
-    def __init__(self, fit: LaguerreFit, direct: NakagamiParams, amp_direct: float,
-                 amp_ris: float):
+    def __init__(self, direct: NakagamiParams, amp_direct: float):
         two_m3 = 2.0 * direct.m
         if abs(two_m3 - round(two_m3)) > 1e-6:
             raise ValueError(
@@ -269,17 +281,35 @@ class _ClosedForm:
         m3 = self.m3 = direct.m
         om3 = self.om3 = direct.omega
         self.amp_direct = amp_direct
-        self.z_norm = q_function(-math.sqrt(fit.a))  # truncated-normal mass above zero
+        self.lam = m3 / (om3 * amp_direct**2)
+        self.lam_m3 = self.lam**m3
+        self.gamma_m3 = gamma_fn(m3)
+        # psi term i: its binomial, k and Gamma(k)
+        self.binom, self.ks, self.gk = _psi_terms(n)
+
+
+class _ClosedForm:
+    """The constants of composite_snr_cdf_closed for one (fit, direct part,
+    amp_ris), which depend on neither gamma nor gamma_bar_c, and the psi sum
+    that _composite_cdfs evaluates with them.
+
+    Every expression is the one the closed form has always evaluated, in the
+    same order and with the same Python operation or scipy.special function,
+    so a value has the same bits whichever pairs it is evaluated with.
+    """
+
+    def __init__(self, fit: LaguerreFit, direct: _DirectPart, amp_ris: float):
+        self.__dict__ = vars(direct).copy()  # the kernel reads them off the form
+        sqrt_a = math.sqrt(fit.a)
+        self.z_norm = q_function(-sqrt_a)  # truncated-normal mass above zero
         s_amp = amp_ris * fit.sigma_sum  # std of the RIS term in the amplitude domain
         self.mean_amp = amp_ris * fit.mean_sum
         self.two_var = 2.0 * s_amp**2
-        self.lam = m3 / (om3 * amp_direct**2)
         self.c1 = self.lam + 1.0 / self.two_var
         # (1 - 1/Z) F_d computed as -(Q(sqrt a)/Z) F_d to dodge cancellation.
-        self.fd_coef = -(q_function(math.sqrt(fit.a)) / self.z_norm)
-        self.scale = self.lam**m3 / (self.z_norm * gamma_fn(m3))
-        # psi term i: its binomial, k, Gamma(k) and 2 c1^k
-        self.binom, self.ks, self.gk = _psi_terms(n)
+        self.fd_coef = -(q_function(sqrt_a) / self.z_norm)
+        self.scale = self.lam_m3 / (self.z_norm * self.gamma_m3)
+        # 2 c1^k of psi term i
         self.two_c1k = [2.0 * self.c1**k for k in self.ks]
 
     def _coefs(self, mu, pref) -> list:
@@ -311,10 +341,6 @@ class _ClosedForm:
                 bracket = low + high
             total += coef * bracket
         return total
-
-
-# Links are immutable and reused, and so are their closed-form constants.
-_closed_form = functools.lru_cache(maxsize=256)(_ClosedForm)
 
 
 def _composite_cdfs(items) -> list:
@@ -394,14 +420,14 @@ def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, ga
     integer (the psi expansion is finite only then); Link.cdf snaps the
     fitted direct shape to the nearest half-integer before invoking it.
     The value is clamped to [0, 1].  A scalar gamma gives a float; an array
-    gives an ndarray of the scalar values, bit for bit.  The constants that
-    depend on neither gamma nor the transmit SNR are computed once per (fit,
-    direct, amp_direct, amp_ris), so the links of one UAV at every transmit
-    power share them; gamma_bar_c is passed when they are evaluated, by the
+    gives an ndarray of the scalar values, bit for bit.  Each call computes
+    the constants that depend on neither gamma nor the transmit SNR once, for
+    all its gamma, with the functions a link derives its own from (see
+    LinkChannel), and passes gamma_bar_c when they are evaluated, by the
     kernel link_cdfs runs for every composite pair.
     """
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
-    form = _closed_form(fit, direct, budget.amp_direct, budget.amp_ris)
+    form = _ClosedForm(fit, _DirectPart(direct, budget.amp_direct), budget.amp_ris)
     gamma_bar_c = budget.gamma_bar_c
     if np.ndim(gamma) == 0:
         return _composite_cdfs([(form, gamma_bar_c, float(gamma))])[0]
@@ -414,41 +440,96 @@ def _half_integer_m(p: NakagamiParams) -> NakagamiParams:
     return NakagamiParams(m=max(0.5, round(2.0 * p.m) / 2.0), omega=p.omega)
 
 
-@functools.lru_cache(maxsize=256)
-def _shared_fit(ris: RisLinkParams) -> LaguerreFit:
-    """fit_laguerre(ris) once per partition: the RIS-only and composite links
-    of one partition, at every transmit power, share it."""
-    return fit_laguerre(ris)
+class _LinkParts:
+    """What the RIS links of one channel share at every element count N and
+    transmit SNR: the element moments of the two hops, and the direct fading,
+    ghat_d and ghat_r of the composite closed form.
+
+    fit(n) and closed(n) derive the Laguerre fit and the closed-form
+    constants of n elements from them, once per n, with fit_laguerre's
+    expressions and _ClosedForm's; ris_params(n) is the partition of n
+    elements, also once per n.  The direct part is built, with m3 snapped to
+    a half-integer, when the first constants need it.
+    """
+
+    def __init__(self, hop_g2r: NakagamiParams, hop_r2a: NakagamiParams,
+                 direct: NakagamiParams | None = None, amp_direct: float = 0.0,
+                 amp_ris: float = 0.0):
+        self.hops = (hop_g2r, hop_r2a)
+        mean_i, var_i = _element_moments(hop_g2r, hop_r2a)
+        self.mean_i, self.var_i = mean_i, var_i
+        self.mean_sq, self.b = mean_i**2, var_i / mean_i
+        self.direct, self.amp_direct, self.amp_ris = direct, amp_direct, amp_ris
+        self._direct_part = None
+        self._ris, self._fits, self._forms = {}, {}, {}
+
+    def ris_params(self, n: int) -> RisLinkParams:
+        ris = self._ris.get(n)
+        if ris is None:
+            ris = self._ris[n] = RisLinkParams(*self.hops, n)
+        return ris
+
+    def fit(self, n: int) -> LaguerreFit:
+        fit = self._fits.get(n)
+        if fit is None:
+            fit = self._fits[n] = LaguerreFit(
+                a=n * self.mean_sq / self.var_i,
+                b=self.b,
+                mean_sum=n * self.mean_i,
+                var_sum=n * self.var_i,
+            )
+        return fit
+
+    def closed(self, n: int) -> _ClosedForm:
+        form = self._forms.get(n)
+        if form is None:
+            if self._direct_part is None:
+                self._direct_part = _DirectPart(_half_integer_m(self.direct), self.amp_direct)
+            form = self._forms[n] = _ClosedForm(self.fit(n), self._direct_part, self.amp_ris)
+        return form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Link:
     """One BS->UAV link: direct-only, RIS-only or composite, by which of
     `direct` and `ris` are present.  The fading parameters are exact; only
-    the composite closed form in cdf() snaps m3 to a half-integer."""
+    the composite closed form in cdf() snaps m3 to a half-integer.
+
+    `kind` is which of LINK_KINDS the link is.  A RIS link gets its Laguerre
+    fit (`fit`) and, if composite, its closed-form constants when it is
+    built, from `parts`: a LinkChannel passes the parts its links share, and
+    a link built without them derives its own.  Links key dicts, so the hash
+    is computed once, when the link is built.
+    """
 
     direct: NakagamiParams | None
     ris: RisLinkParams | None
     budget: LinkBudget
 
-    def __post_init__(self):
-        if self.direct is None and self.ris is None:
+    def __init__(self, direct: NakagamiParams | None, ris: RisLinkParams | None,
+                 budget: LinkBudget, parts: _LinkParts | None = None):
+        if direct is None and ris is None:
             raise ValueError("a link needs a direct path, a RIS path or both")
+        kind = "direct" if ris is None else "ris" if direct is None else "composite"
+        fit = closed = None
+        if ris is not None:
+            if parts is None:
+                parts = _LinkParts(ris.hop_g2r, ris.hop_r2a, direct, budget.amp_direct,
+                                   budget.amp_ris)
+            fit = parts.fit(ris.n_elements)
+            if direct is not None:
+                closed = parts.closed(ris.n_elements)
+        # equal links have equal kinds, element counts and budgets, which tell
+        # the links of a drop apart, so they make the hash
+        n_elements = 0 if ris is None else ris.n_elements
+        key = (kind, n_elements, budget.gamma_bar_c, budget.amp_direct, budget.amp_ris)
+        # frozen: the fields and the derived attributes go into the instance
+        # dict directly, as the generated __init__ would set the fields
+        vars(self).update(direct=direct, ris=ris, budget=budget, kind=kind, fit=fit,
+                          _closed=closed, _hash=hash(key))
 
-    @property
-    def kind(self) -> str:
-        """Which of LINK_KINDS the link is."""
-        return "direct" if self.ris is None else "ris" if self.direct is None else "composite"
-
-    @functools.cached_property
-    def fit(self) -> LaguerreFit | None:
-        return None if self.ris is None else _shared_fit(self.ris)
-
-    @functools.cached_property
-    def _closed(self) -> _ClosedForm:
-        """The composite closed form's constants, at the snapped m3."""
-        b = self.budget
-        return _closed_form(self.fit, _half_integer_m(self.direct), b.amp_direct, b.amp_ris)
+    def __hash__(self):
+        return self._hash
 
     def cdf(self, gamma):
         """SNR CDF at a scalar or array gamma: exact for the direct link,
@@ -532,16 +613,39 @@ class LinkChannel:
     # link() memo: (kind, n_elements) -> Link
     _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # the budget every link of the channel carries
+        object.__setattr__(self, "_budget",
+                           LinkBudget(self.gamma_bar_c, self.amp_direct, self.amp_ris))
+
+    @functools.cached_property
+    def _parts(self) -> _LinkParts:
+        return _LinkParts(self.hop_g2r, self.hop_r2a, self.direct_fading, self.amp_direct,
+                          self.amp_ris)
+
     @property
     def gamma_bar_d(self) -> float:
-        return self.budget().gamma_bar_d
+        return self._budget.gamma_bar_d
 
     @property
     def gamma_bar_r(self) -> float:
-        return self.budget().gamma_bar_r
+        return self._budget.gamma_bar_r
 
     def budget(self) -> LinkBudget:
-        return LinkBudget(self.gamma_bar_c, self.amp_direct, self.amp_ris)
+        """The budget every link of the channel carries."""
+        return self._budget
+
+    def at_snr(self, gamma_bar_c: float) -> LinkChannel:
+        """This channel at transmit SNR gamma_bar_c = P_t / P_N.  Nothing the
+        fits and closed-form constants depend on changes, so the links of
+        both channels share them: each N's are computed once for every SNR.
+
+        A sweep makes one per point and UAV, so it is a copy of this
+        channel's instance dict, not a call of the generated __init__."""
+        channel = object.__new__(LinkChannel)
+        vars(channel).update(vars(self), gamma_bar_c=gamma_bar_c, _links={}, _parts=self._parts,
+                             _budget=LinkBudget(gamma_bar_c, self.amp_direct, self.amp_ris))
+        return channel
 
     def ris_params(self, n_elements: int) -> RisLinkParams:
         return RisLinkParams(hop_g2r=self.hop_g2r, hop_r2a=self.hop_r2a, n_elements=n_elements)
@@ -561,18 +665,24 @@ class LinkChannel:
         RIS-only link with zero elements does not exist.  Each link is built
         once per channel, so equal links of a channel are one object.
         """
-        if kind not in LINK_KINDS:
-            raise ValueError(f"unknown link type {kind!r}")
-        if kind == "ris" and n_elements < 1:
-            raise ValueError("RIS-only link needs at least one element")
-        if kind == "direct" or n_elements == 0:
-            kind, n_elements = "direct", 0
         key = (kind, n_elements)
-        if key not in self._links:
-            direct = None if kind == "ris" else self.direct_fading
-            ris = None if kind == "direct" else self.ris_params(n_elements)
-            self._links[key] = Link(direct, ris, self.budget())
-        return self._links[key]
+        link = self._links.get(key)
+        if link is None:
+            if kind not in LINK_KINDS:
+                raise ValueError(f"unknown link type {kind!r}")
+            if kind == "ris" and n_elements < 1:
+                raise ValueError("RIS-only link needs at least one element")
+            if kind == "direct" or n_elements == 0:
+                link = self._links.get(("direct", 0))
+                if link is None:
+                    link = self._links["direct", 0] = Link(self.direct_fading, None,
+                                                            self._budget)
+            else:
+                parts = self._parts
+                direct = None if kind == "ris" else self.direct_fading
+                link = Link(direct, parts.ris_params(n_elements), self._budget, parts)
+            self._links[key] = link
+        return link
 
 
 def resolve_links(

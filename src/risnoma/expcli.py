@@ -243,10 +243,11 @@ _BLOCK_TYPES = {f.name: f.default_factory
 def _check_type(key: str, default, value):
     """Raise ConfigError unless value can fill the field key with this default.
 
-    A bool default needs true or false, an int default an integer, a float
-    default a real number, a None default None or a real number, and a
-    default tuple of numbers, given a list, numbers as its entries.  Bools are
-    not numbers; nothing is converted.
+    A bool default needs true or false, a str default a string, an int
+    default an integer, a float default a finite real number, a None default
+    None or a finite real number, and a default tuple of numbers, given a
+    list, finite real numbers as its entries.  Bools are not numbers; nothing
+    is converted.
     """
     if default is None and value is None:
         return
@@ -254,12 +255,16 @@ def _check_type(key: str, default, value):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {value!r}")
         return
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return
     if isinstance(default, int):
         ok, wanted = _is_real(value) and isinstance(value, numbers.Integral), "an integer"
     elif isinstance(default, float) or default is None:
-        ok, wanted = _is_real(value), "a number"
+        ok, wanted = _is_finite_real(value), "a finite number"
     elif isinstance(default, tuple) and isinstance(value, list) and all(map(_is_real, default)):
-        ok, wanted = all(map(_is_real, value)), "a list of numbers"
+        ok, wanted = all(map(_is_finite_real, value)), "a list of finite numbers"
     else:
         return
     if not ok:
@@ -506,7 +511,7 @@ def _run_sweep_scalar(cfg, seed, out_dir, mc_enabled, variable, filename):
         links = drop
         if variable == "tx_power_dbm":
             gamma_bar_c = transmit_snr(value, cfg.scenario.bandwidth_hz, cfg.scenario.noise_temp_k)
-            links = [dataclasses.replace(link, gamma_bar_c=gamma_bar_c) for link in drop]
+            links = [link.at_snr(gamma_bar_c) for link in drop]
         else:
             rates = tuple(float(value) for _ in drop)
         if shared is None:

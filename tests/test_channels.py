@@ -465,6 +465,24 @@ def test_link_channel_builds_each_link_once():
         channel.laguerre(0)  # no element sum to fit; N = 0 is the direct link
 
 
+def test_at_snr_is_the_channel_at_another_snr():
+    # a sweep's power point: the channel dataclasses.replace gives, whose
+    # links share this channel's fits and closed-form constants
+    channel = _default_links()[1]
+    snr = 4.0 * channel.gamma_bar_c
+    louder = channel.at_snr(snr)
+    assert louder == dataclasses.replace(channel, gamma_bar_c=snr)
+    assert louder.budget() == LinkBudget(snr, channel.amp_direct, channel.amp_ris)
+    assert channel.budget() == LinkBudget(channel.gamma_bar_c, channel.amp_direct,
+                                          channel.amp_ris)
+    for kind, n in (("ris", 64), ("composite", 64), ("composite", 1024)):
+        link, loud = channel.link(kind, n), louder.link(kind, n)
+        assert loud.budget is louder.budget() and loud.ris is link.ris and loud.fit is link.fit
+        assert loud._closed is link._closed
+        assert loud == Link(loud.direct, loud.ris, loud.budget) != link
+    assert louder.link("direct", 0) == Link(channel.direct_fading, None, louder.budget())
+
+
 class TestLinkCdfArrays:
     """Link.cdf on an array of thresholds gives, element by element, the bits of
     its scalar calls: the outage model scores a batch of thresholds per call."""
@@ -488,50 +506,98 @@ class TestLinkCdfArrays:
             assert 0.0 < max(scalars) and min(scalars[1:]) < 1.0
 
 
-def _scalar_closed_form(form, gamma_bar_c: float, gamma: float) -> float:
-    """The composite closed form one gamma at a time, with its special
-    functions called per gamma and a psi sum per integral: the reference for
-    the batched kernel, from form's constants."""
+def _snapped(p):
+    """p with m snapped to the nearest half-integer, at least 0.5."""
+    return NakagamiParams(m=max(0.5, round(2.0 * p.m) / 2.0), omega=p.omega)
+
+
+def _moment_reference(p1, p2, n) -> float:
+    """double_nakagami_moment with a scalar Gamma call per value, as it has
+    always been computed."""
+    out = 1.0
+    for p in (p1, p2):
+        out *= (float(special.gamma(p.m + n / 2.0)) / float(special.gamma(p.m))
+                * (p.omega / p.m) ** (n / 2.0))
+    return out
+
+
+def test_moments_keep_the_scalar_bits():
+    # one scipy.special.gamma call gives each moment the bits of scalar calls
+    rng = np.random.default_rng(3)
+    for m1, m2, w1, w2 in zip(*rng.uniform(0.5, 12.0, (2, 300)), *rng.uniform(0.1, 3.0, (2, 300))):
+        p1, p2 = NakagamiParams(float(m1), float(w1)), NakagamiParams(float(m2), float(w2))
+        for n in (1, 2, 3, 4):
+            assert (double_nakagami_moment(p1, p2, n).hex()
+                    == _moment_reference(p1, p2, n).hex()), (p1, p2, n)
+
+
+def _fit_reference(ris) -> tuple:
+    """(a, b, mean_sum, var_sum) of the Laguerre fit of ris, from the two
+    element moments, with the expressions fit_laguerre has always used."""
+    mean_i = _moment_reference(ris.hop_g2r, ris.hop_r2a, 1)
+    var_i = _moment_reference(ris.hop_g2r, ris.hop_r2a, 2) - mean_i**2
+    n = ris.n_elements
+    return n * mean_i**2 / var_i, var_i / mean_i, n * mean_i, n * var_i
+
+
+def _scalar_closed_form(fit, direct, budget, gamma: float) -> float:
+    """The composite closed form one gamma at a time, direct's m3 a
+    half-integer: its constants computed here from (fit, direct, budget) with
+    the expressions the closed form has always used, its special functions
+    called per gamma and a psi sum per integral.  The reference for the
+    batched kernel and for the constants a link derives from its channel."""
     if gamma == 0.0:
         return 0.0
-    ks_col = np.array(form.ks)[:, None]
+    m3, om3 = direct.m, direct.omega
+    n = round(2.0 * m3) - 1
+    gamma_bar_c, amp_direct, amp_ris = budget.gamma_bar_c, budget.amp_direct, budget.amp_ris
+    z_norm = q_function(-math.sqrt(fit.a))
+    s_amp = amp_ris * fit.sigma_sum
+    mean_amp = amp_ris * fit.mean_sum
+    two_var = 2.0 * s_amp**2
+    lam = m3 / (om3 * amp_direct**2)
+    c1 = lam + 1.0 / two_var
+    fd_coef = -(q_function(math.sqrt(fit.a)) / z_norm)
+    scale = lam**m3 / (z_norm * float(special.gamma(m3)))
+    ks = [(i + 1) / 2.0 for i in range(n + 1)]
+    ks_col = np.array(ks)[:, None]
     gamma_k = special.gamma(ks_col)
-    n = form.n_pow
+    gk = gamma_k[:, 0].tolist()
+    two_c1k = [2.0 * c1**k for k in ks]
 
     def psi(p1, p2, mu, pref, upper1, upper2):
         if p2 <= p1:
             return 0.0
         total = 0.0
         for i in range(n + 1):
-            rho = form.binom[i] * pref * mu ** (n - i)
+            rho = math.comb(n, i) * pref * mu ** (n - i)
             if p1 >= mu or i % 2 == 1:
                 bracket = upper1[i] - upper2[i]
             elif p2 <= mu:
                 bracket = upper2[i] - upper1[i]
             else:
-                low = form.gk[i] - upper1[i]
-                high = form.gk[i] - upper2[i]
+                low = gk[i] - upper1[i]
+                high = gk[i] - upper2[i]
                 bracket = low + high
-            total += rho / form.two_c1k[i] * bracket
+            total += rho / two_c1k[i] * bracket
         return total
 
-    direct_scale = form.om3 * (gamma_bar_c * form.amp_direct**2)
+    direct_scale = om3 * (gamma_bar_c * amp_direct**2)
     big_t = math.sqrt(gamma / gamma_bar_c)
-    m_split = big_t - form.mean_amp
-    c1 = form.c1
-    c2 = m_split / form.two_var
-    c3 = m_split**2 / form.two_var
+    m_split = big_t - mean_amp
+    c2 = m_split / two_var
+    c3 = m_split**2 / two_var
     mu = c2 / c1
     pref = math.exp(c2 * c2 / c1 - c3)
-    f_d = float(special.gammainc(form.m3, form.m3 * gamma / direct_scale))
-    val = form.fd_coef * f_d
+    f_d = float(special.gammainc(m3, m3 * gamma / direct_scale))
+    val = fd_coef * f_d
     ends = (0.0, big_t) if m_split < 0.0 else (0.0, m_split, big_t)
     upper = (special.gammaincc(ks_col, [c1 * (p - mu) ** 2 for p in ends]) * gamma_k).T.tolist()
     if m_split < 0.0:
-        val += form.scale * psi(0.0, big_t, mu, pref, upper[0], upper[1])
+        val += scale * psi(0.0, big_t, mu, pref, upper[0], upper[1])
     else:
-        val += float(special.gammainc(form.m3, form.lam * m_split**2)) / form.z_norm
-        val += form.scale * (
+        val += float(special.gammainc(m3, lam * m_split**2)) / z_norm
+        val += scale * (
             psi(m_split, big_t, mu, pref, upper[1], upper[2])
             - psi(0.0, m_split, mu, pref, upper[0], upper[1])
         )
@@ -540,16 +606,25 @@ def _scalar_closed_form(form, gamma_bar_c: float, gamma: float) -> float:
 
 def _mixed_pairs():
     """(link, gamma) pairs of every kind: the default drop's three UAVs at
-    N = 1, 16 and 64, and the Table-I link at three pinned m3 (snapped to
-    n_pow 1, 2 and 4); gamma = 0, and for composite links points on both
+    N = 1, 16, 64 and 1024; the Table-I link at four pinned m3 (snapped to
+    n_pow 1, 2, 4 and 16); one UAV's links at two other transmit SNRs, by
+    LinkChannel.at_snr and by dataclasses.replace; and links built directly,
+    without a channel.  gamma = 0, and for composite links points on both
     sides of the branch point gamma_bar_c (ghat_r E[S])^2."""
     links = []
-    for channel in _default_links():
+    drop = _default_links()
+    for channel in drop:
         links.append(channel.link("direct", 0))
-        for n in (1, 16, 64):
+        for n in (1, 16, 64, 1024):
             links += [channel.link("ris", n), channel.link("composite", n)]
-    for m_direct in (1.0, 1.5, 2.4):
+    for m_direct in (1.0, 1.5, 2.4, 8.5):
         links.append(_table_i_link(m_direct=m_direct).link("composite", 16))
+    channel = drop[1]
+    for louder in (channel.at_snr(3.0 * channel.gamma_bar_c),
+                   dataclasses.replace(channel, gamma_bar_c=0.2 * channel.gamma_bar_c)):
+        links += [louder.link("ris", 64), louder.link("composite", 64)]
+    links += [Link(channel.direct_fading, channel.ris_params(16), channel.budget()),
+              Link(None, channel.ris_params(16), channel.budget())]
     pairs = []
     for link in links:
         b = link.budget
@@ -572,8 +647,17 @@ def test_link_cdfs_batch_is_singletons_bit_for_bit():
     # the cover the kernel needs: both branches, and several psi lengths
     assert {math.sqrt(g / l.budget.gamma_bar_c) < l._closed.mean_amp for l, g in composite} == {
         True, False}
-    assert {l._closed.n_pow for l, _ in composite} >= {1, 2, 4}
+    assert {l._closed.n_pow for l, _ in composite} >= {1, 2, 4, 16}
     assert {l.kind for l in links} == set(LINK_KINDS)
+    assert {l.ris.n_elements for l in links if l.ris is not None} >= {1, 1024}
+    # each link's fit has the bits of the moment-matched fit of its partition,
+    # also at element counts that are not powers of two
+    fitted = [l for l in links if l.ris is not None]
+    fitted += [channel.link(kind, n) for channel in _default_links() for kind in ("ris", "composite")
+               for n in (3, 48, 100, 1000)]
+    for link in fitted:
+        assert [v.hex() for v in (link.fit.a, link.fit.b, link.fit.mean_sum,
+                                  link.fit.var_sum)] == [v.hex() for v in _fit_reference(link.ris)]
     batch = channels.link_cdfs(links, gammas)
     assert all(type(v) is float for v in batch)
     single = [channels.link_cdfs([link], [g])[0] for link, g in pairs]
@@ -587,10 +671,9 @@ def test_link_cdfs_batch_is_singletons_bit_for_bit():
         elif link.kind == "ris":
             public.append(ris_snr_cdf(link.fit, b.gamma_bar_r, g))
         else:
-            snapped = channels._half_integer_m(link.direct)
-            public.append(composite_snr_cdf_closed(link.fit, snapped, b, g))
-    reference = [_scalar_closed_form(l._closed, l.budget.gamma_bar_c, g) if l.kind == "composite"
-                 else v for (l, g), v in zip(pairs, public)]
+            public.append(composite_snr_cdf_closed(link.fit, _snapped(link.direct), b, g))
+    reference = [_scalar_closed_form(l.fit, _snapped(l.direct), l.budget, g)
+                 if l.kind == "composite" else v for (l, g), v in zip(pairs, public)]
     want = [v.hex() for v in batch]
     for got in (single, reverse, via_link, public, reference):
         assert [float(v).hex() for v in got] == want
@@ -668,29 +751,42 @@ class TestCompositeClosed:
         clamped = composite_snr_cdf_closed(fit, link.direct_fading, link.budget(), 1e-9)
         assert 0.0 <= clamped <= 1.0
 
-    def test_transmit_powers_share_one_constant_set(self):
-        # the constants depend on the amplitudes, not on gamma_bar_c, so the
-        # budgets of one link at several powers build them once, and each
+    def test_transmit_powers_share_one_constant_set(self, monkeypatch):
+        # the constants depend on the amplitudes, not on gamma_bar_c, so a
+        # channel's links at several powers build them once, and each
         # power's values keep their bits whichever power came first
+        built = []
+
+        class CountedForm(channels._ClosedForm):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(channels, "_ClosedForm", CountedForm)
         link = _table_i_link()
-        fit, direct = link.laguerre(64), link.rounded_direct()
-        budgets = [dataclasses.replace(link, gamma_bar_c=transmit_snr(p, 4.0e7, 300.0)).budget()
-                   for p in (30.0, 35.0, 40.0)]
-        amp_mean = budgets[0].amp_ris * fit.mean_sum + budgets[0].amp_direct
-        grid = np.linspace(0.0, 3.0, 9) * budgets[1].gamma_bar_c * amp_mean**2
+        snrs = [transmit_snr(p, 4.0e7, 300.0) for p in (30.0, 35.0, 40.0)]
+        fit = link.laguerre(64)
+        amp_mean = link.amp_ris * fit.mean_sum + link.amp_direct
+        grid = np.linspace(0.0, 3.0, 9) * snrs[1] * amp_mean**2
 
         def values(order):
-            channels._closed_form.cache_clear()
-            out = {i: composite_snr_cdf_closed(fit, direct, budgets[i], grid).tolist()
+            built.clear()
+            channel = dataclasses.replace(link)
+            out = {i: channel.at_snr(snrs[i]).link("composite", 64).cdf(grid).tolist()
                    for i in order}
-            return [out[i] for i in range(len(budgets))], channels._closed_form.cache_info()
+            return [out[i] for i in range(len(snrs))], len(built)
 
-        forward, info = values((0, 1, 2))
+        forward, builds = values((0, 1, 2))
         backward, _ = values((2, 1, 0))
-        assert (info.misses, info.hits) == (1, 2)
+        assert builds == 1
         assert [[v.hex() for v in vals] for vals in forward] == [
             [v.hex() for v in vals] for vals in backward]
         assert forward[0] != forward[1] != forward[2]
+        # and they are the public closed form's, which builds its own set
+        direct = link.rounded_direct()
+        for snr, vals in zip(snrs, forward):
+            budget = dataclasses.replace(link, gamma_bar_c=snr).budget()
+            assert composite_snr_cdf_closed(fit, direct, budget, grid).tolist() == vals
 
 
 # Each UAV's link from resolve_links on drops 0-9 of the default scenario, with
@@ -790,8 +886,18 @@ class TestLinkBudget:
 
     @pytest.mark.parametrize("gamma_bar_c, amp_direct, amp_ris", [
         (0.0, 1.0, 0.1), (-1.0, 1.0, 0.1), (math.nan, 1.0, 0.1), (1.0, -1e-9, 0.1),
-        (1.0, 1.0, -0.1),
-    ], ids=["zero_snr", "negative_snr", "nan_snr", "negative_direct", "negative_ris"])
+        (1.0, 1.0, -0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
+    ], ids=["zero_snr", "negative_snr", "nan_snr", "negative_direct", "negative_ris",
+            "nan_direct", "nan_ris"])
     def test_rejects(self, gamma_bar_c, amp_direct, amp_ris):
         with pytest.raises(ValueError):
             LinkBudget(gamma_bar_c, amp_direct, amp_ris)
+
+
+@pytest.mark.parametrize("m, omega", [
+    (0.4, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, -1.0), (1.0, math.nan),
+    (1.0, math.inf),
+], ids=["small_m", "nan_m", "inf_m", "zero_omega", "negative_omega", "nan_omega", "inf_omega"])
+def test_nakagami_params_need_finite_values(m, omega):
+    with pytest.raises(ValueError):
+        NakagamiParams(m=m, omega=omega)

@@ -510,6 +510,39 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert key in err and "4.0e+7" in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("output:\n  directory: [1, 2]\n", "output.directory"),
+        ("output:\n  directory: 7\n", "output.directory"),
+        ("sweep:\n  variable: 5\n", "sweep.variable"),
+    ], ids=["directory_list", "directory_int", "variable_int"])
+    def test_string_key_needs_yaml_string(self, tmp_path, monkeypatch, capsys, text, key):
+        # without --out the run would write under output.directory
+        monkeypatch.chdir(tmp_path)
+        cfg = _write(tmp_path, text)
+        assert main(["sweep-links", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: {key} must be a string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("text, key, wanted", [
+        ("channel:\n  m_direct: .nan\n", "channel.m_direct", "a finite number"),
+        ("channel:\n  omega: .nan\n", "channel.omega", "a finite number"),
+        ("channel:\n  m_hops: .inf\n", "channel.m_hops", "a finite number"),
+        ("scenario:\n  tx_power_dbm: .nan\n", "scenario.tx_power_dbm", "a finite number"),
+        ("validation:\n  outage_abs_tol: .nan\n", "validation.outage_abs_tol",
+         "a finite number"),
+        ("environment:\n  zeta: -.inf\n", "environment.zeta", "a finite number"),
+        ("scenario:\n  uav_altitude_m: [80.0, .inf]\n", "scenario.uav_altitude_m",
+         "a list of finite numbers"),
+        ("ruom:\n  lambdas: [.nan]\n", "ruom.lambdas", "a list of finite numbers"),
+    ], ids=["nan_m_direct", "nan_omega", "inf_m_hops", "nan_tx_power", "nan_tolerance",
+            "inf_zeta", "inf_altitude", "nan_lambda"])
+    def test_real_key_needs_finite_number(self, tmp_path, capsys, text, key, wanted):
+        cfg = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"{key} must be {wanted}"):
+            load_config(cfg)
+        assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"config error: {key} must be {wanted}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ['"no"', '"false"', "0"],
                              ids=["quoted_no", "quoted_false", "zero"])
     def test_bool_key_needs_yaml_bool(self, tmp_path, capsys, value):
@@ -557,11 +590,20 @@ class TestCurveScoring:
                 expected.append(ordered_cdf(parent, rank, len(links)).hex())
         assert [row[4].hex() for row in rows] == expected
 
-    def test_sweep_power_builds_one_constant_set_per_rank(self, tmp_path):
+    def test_sweep_power_builds_one_constant_set_per_rank(self, tmp_path, monkeypatch):
+        # a rank's links at every transmit power share one closed-form
+        # constant set
+        built = []
+
+        class CountedForm(channels._ClosedForm):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(channels, "_ClosedForm", CountedForm)
         cfg = self._config("sweep-power")
-        channels._closed_form.cache_clear()
         expcli.run_sweep_power(cfg, 1, tmp_path, False)
-        assert channels._closed_form.cache_info().misses == cfg.scenario.n_uavs
+        assert len(built) == cfg.scenario.n_uavs
 
     @pytest.mark.parametrize("name, runner", [
         ("sweep-links", expcli.run_sweep_links),
@@ -570,22 +612,23 @@ class TestCurveScoring:
     def test_one_fit_per_rank_and_n(self, tmp_path, monkeypatch, name, runner):
         # the RIS-only and composite links of one (rank, N), and a rank's
         # links at every transmit power, share one Laguerre fit
-        fits = []
-        fit = channels.fit_laguerre
-
-        def counted_fit(ris):
-            fits.append(ris)
-            return fit(ris)
-
-        monkeypatch.setattr(channels, "fit_laguerre", counted_fit)
-        channels._shared_fit.cache_clear()
         cfg = self._config(name)
-        runner(cfg, 1, tmp_path, False)
         grid = cfg.sweep.grid if name == "sweep-links" else [cfg.sweep.fixed_n_elements]
         drop = expcli._resolved_links(cfg, 1)
         partitions = [link.ris_params(n) for link in drop for n in grid if n > 0]
         assert len(set(partitions)) == len(partitions)  # one per (rank, N) on this drop
-        assert sorted(fits, key=partitions.index) == partitions
+        expected = [channels.fit_laguerre(ris) for ris in partitions]
+        fits = []
+        fit_type = channels.LaguerreFit
+
+        class CountedFit(fit_type):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                fits.append(fit_type(*args, **kwargs))
+
+        monkeypatch.setattr(channels, "LaguerreFit", CountedFit)
+        runner(cfg, 1, tmp_path, False)
+        assert sorted(fits, key=expected.index) == expected
 
     def test_sweep_rate_scores_each_rank_in_one_cdf_call(self, tmp_path, monkeypatch):
         # every rank's grid thresholds go through one link_cdfs call
