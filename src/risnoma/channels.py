@@ -28,16 +28,15 @@ SIMD power and exp can differ from them in the last bit, and its sums,
 because numpy would add them in another order.  So a value has the same
 bits whichever batch it is evaluated in.
 
-A link's Laguerre fit and closed-form constants are computed when it is
-built, from parts its LinkChannel computes once: the element moments of its
-two hops; m3 snapped to a half-integer with its psi-term constants, lambda,
-lambda^m3 and Gamma(m3); and ghat_d and ghat_r.  Each element count N gets
-its fit and constants once per channel, from those parts with the
-expressions and operation order fit_laguerre and the closed form have always
-used, and LinkChannel.at_snr gives the channel at another transmit SNR with
-the same parts, so a sweep's power points share them.  Nothing is cached
-across channels beyond the element moments (keyed by the two hops) and the
-psi-term constants (keyed by n)."""
+A LinkChannel owns what its links derive per element count N: it computes
+the element moments of its two hops once, and memoizes per N the partition,
+the Laguerre fit and the closed-form constants, which its LinkChannel.at_snr
+copies share, so a sweep's power points compute each N's once.  The fit
+comes from _sum_fit, as in fit_laguerre, and the constants from _ClosedForm,
+as in composite_snr_cdf_closed and a directly built Link, each with the
+expressions and operation order the closed form has always used.  What
+depends on the direct shape m3 alone comes from one bounded cache keyed by
+m3; nothing else is cached across channels."""
 
 from __future__ import annotations
 
@@ -176,7 +175,6 @@ def _product_moments(p1: NakagamiParams, p2: NakagamiParams, orders) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _element_moments(hop_g2r: NakagamiParams, hop_r2a: NakagamiParams):
     """Mean and variance of one element's product amplitude; every N of a
     pair of hops shares them."""
@@ -184,9 +182,15 @@ def _element_moments(hop_g2r: NakagamiParams, hop_r2a: NakagamiParams):
     return mean_i, second_i - mean_i**2
 
 
+def _sum_fit(n: int, mean_i: float, var_i: float) -> LaguerreFit:
+    """Laguerre fit to the sum of n elements of mean mean_i and variance var_i."""
+    return LaguerreFit(a=n * mean_i**2 / var_i, b=var_i / mean_i, mean_sum=n * mean_i,
+                       var_sum=n * var_i)
+
+
 def fit_laguerre(ris: RisLinkParams) -> LaguerreFit:
     """Moment-matched gamma fit to the sum of n_elements i.i.d. products."""
-    return _LinkParts(ris.hop_g2r, ris.hop_r2a).fit(ris.n_elements)
+    return _sum_fit(ris.n_elements, *_element_moments(ris.hop_g2r, ris.hop_r2a))
 
 
 def ris_snr_cdf(fit: LaguerreFit, gamma_bar_r: float, gamma):
@@ -255,51 +259,38 @@ def composite_snr_cdf_quadrature(fit, direct: NakagamiParams, budget: LinkBudget
     return float(out) if np.ndim(out) == 0 else out
 
 
-@functools.lru_cache(maxsize=None)
-def _psi_terms(n: int):
-    """The psi-term constants of x^n, which depend only on n = 2 m3 - 1: term
-    i has k = (i+1)/2.  Returns the binomials, the k and Gamma(k), each a
-    tuple; every closed form with this n shares them."""
+@functools.lru_cache(maxsize=32)
+def _m3_terms(m3: float):
+    """What the composite closed form needs of the direct shape m3 alone,
+    which must be within 1e-6 of a half-integer (the psi expansion is finite
+    only then): n = 2 m3 - 1; the binomials, k = (i+1)/2 and Gamma(k) of each
+    psi term i of x^n, each a tuple; and Gamma(m3)."""
+    two_m3 = 2.0 * m3
+    if abs(two_m3 - round(two_m3)) > 1e-6:
+        raise ValueError(f"closed-form composite CDF needs half-integer m3, got m3={m3}")
+    n = int(round(two_m3)) - 1
     ks = tuple((i + 1) / 2.0 for i in range(n + 1))
     binom = tuple(math.comb(n, i) for i in range(n + 1))
-    return binom, ks, tuple(_sp.gamma(np.array(ks)).tolist())
-
-
-class _DirectPart:
-    """The constants of the composite closed form that depend only on the
-    direct path: m3 (within 1e-6 of a half-integer), n = 2 m3 - 1 and the psi
-    terms of x^n, Omega3, ghat_d, lambda = m3 / (Omega3 ghat_d^2), lambda^m3
-    and Gamma(m3)."""
-
-    def __init__(self, direct: NakagamiParams, amp_direct: float):
-        two_m3 = 2.0 * direct.m
-        if abs(two_m3 - round(two_m3)) > 1e-6:
-            raise ValueError(
-                f"closed-form composite CDF needs half-integer m3, got m3={direct.m}"
-            )
-        n = self.n_pow = int(round(two_m3)) - 1
-        m3 = self.m3 = direct.m
-        om3 = self.om3 = direct.omega
-        self.amp_direct = amp_direct
-        self.lam = m3 / (om3 * amp_direct**2)
-        self.lam_m3 = self.lam**m3
-        self.gamma_m3 = gamma_fn(m3)
-        # psi term i: its binomial, k and Gamma(k)
-        self.binom, self.ks, self.gk = _psi_terms(n)
+    return n, binom, ks, tuple(_sp.gamma(np.array(ks)).tolist()), gamma_fn(m3)
 
 
 class _ClosedForm:
-    """The constants of composite_snr_cdf_closed for one (fit, direct part,
-    amp_ris), which depend on neither gamma nor gamma_bar_c, and the psi sum
-    that _composite_cdfs evaluates with them.
+    """The constants of composite_snr_cdf_closed for one (fit, direct fading,
+    ghat_d, ghat_r), which depend on neither gamma nor gamma_bar_c, and the
+    psi sum that _composite_cdfs evaluates with them.
 
     Every expression is the one the closed form has always evaluated, in the
     same order and with the same Python operation or scipy.special function,
     so a value has the same bits whichever pairs it is evaluated with.
     """
 
-    def __init__(self, fit: LaguerreFit, direct: _DirectPart, amp_ris: float):
-        self.__dict__ = vars(direct).copy()  # the kernel reads them off the form
+    def __init__(self, fit: LaguerreFit, direct: NakagamiParams, amp_direct: float,
+                 amp_ris: float):
+        self.n_pow, self.binom, self.ks, self.gk, gamma_m3 = _m3_terms(direct.m)
+        m3 = self.m3 = direct.m
+        om3 = self.om3 = direct.omega
+        self.amp_direct = amp_direct
+        self.lam = m3 / (om3 * amp_direct**2)
         sqrt_a = math.sqrt(fit.a)
         self.z_norm = q_function(-sqrt_a)  # truncated-normal mass above zero
         s_amp = amp_ris * fit.sigma_sum  # std of the RIS term in the amplitude domain
@@ -308,7 +299,7 @@ class _ClosedForm:
         self.c1 = self.lam + 1.0 / self.two_var
         # (1 - 1/Z) F_d computed as -(Q(sqrt a)/Z) F_d to dodge cancellation.
         self.fd_coef = -(q_function(sqrt_a) / self.z_norm)
-        self.scale = self.lam_m3 / (self.z_norm * self.gamma_m3)
+        self.scale = self.lam**m3 / (self.z_norm * gamma_m3)
         # 2 c1^k of psi term i
         self.two_c1k = [2.0 * self.c1**k for k in self.ks]
 
@@ -420,14 +411,14 @@ def composite_snr_cdf_closed(fit, direct: NakagamiParams, budget: LinkBudget, ga
     integer (the psi expansion is finite only then); Link.cdf snaps the
     fitted direct shape to the nearest half-integer before invoking it.
     The value is clamped to [0, 1].  A scalar gamma gives a float; an array
-    gives an ndarray of the scalar values, bit for bit.  Each call computes
-    the constants that depend on neither gamma nor the transmit SNR once, for
-    all its gamma, with the functions a link derives its own from (see
-    LinkChannel), and passes gamma_bar_c when they are evaluated, by the
-    kernel link_cdfs runs for every composite pair.
+    gives an ndarray of the scalar values, bit for bit.  Each call builds
+    one _ClosedForm, the constants that depend on neither gamma nor the
+    transmit SNR, for all its gamma, as a link does, and passes gamma_bar_c
+    when they are evaluated, by the kernel link_cdfs runs for every
+    composite pair.
     """
     gamma = _checked(gamma, lambda g: g < 0.0, "gamma must be nonnegative")
-    form = _ClosedForm(fit, _DirectPart(direct, budget.amp_direct), budget.amp_ris)
+    form = _ClosedForm(fit, direct, budget.amp_direct, budget.amp_ris)
     gamma_bar_c = budget.gamma_bar_c
     if np.ndim(gamma) == 0:
         return _composite_cdfs([(form, gamma_bar_c, float(gamma))])[0]
@@ -440,55 +431,6 @@ def _half_integer_m(p: NakagamiParams) -> NakagamiParams:
     return NakagamiParams(m=max(0.5, round(2.0 * p.m) / 2.0), omega=p.omega)
 
 
-class _LinkParts:
-    """What the RIS links of one channel share at every element count N and
-    transmit SNR: the element moments of the two hops, and the direct fading,
-    ghat_d and ghat_r of the composite closed form.
-
-    fit(n) and closed(n) derive the Laguerre fit and the closed-form
-    constants of n elements from them, once per n, with fit_laguerre's
-    expressions and _ClosedForm's; ris_params(n) is the partition of n
-    elements, also once per n.  The direct part is built, with m3 snapped to
-    a half-integer, when the first constants need it.
-    """
-
-    def __init__(self, hop_g2r: NakagamiParams, hop_r2a: NakagamiParams,
-                 direct: NakagamiParams | None = None, amp_direct: float = 0.0,
-                 amp_ris: float = 0.0):
-        self.hops = (hop_g2r, hop_r2a)
-        mean_i, var_i = _element_moments(hop_g2r, hop_r2a)
-        self.mean_i, self.var_i = mean_i, var_i
-        self.mean_sq, self.b = mean_i**2, var_i / mean_i
-        self.direct, self.amp_direct, self.amp_ris = direct, amp_direct, amp_ris
-        self._direct_part = None
-        self._ris, self._fits, self._forms = {}, {}, {}
-
-    def ris_params(self, n: int) -> RisLinkParams:
-        ris = self._ris.get(n)
-        if ris is None:
-            ris = self._ris[n] = RisLinkParams(*self.hops, n)
-        return ris
-
-    def fit(self, n: int) -> LaguerreFit:
-        fit = self._fits.get(n)
-        if fit is None:
-            fit = self._fits[n] = LaguerreFit(
-                a=n * self.mean_sq / self.var_i,
-                b=self.b,
-                mean_sum=n * self.mean_i,
-                var_sum=n * self.var_i,
-            )
-        return fit
-
-    def closed(self, n: int) -> _ClosedForm:
-        form = self._forms.get(n)
-        if form is None:
-            if self._direct_part is None:
-                self._direct_part = _DirectPart(_half_integer_m(self.direct), self.amp_direct)
-            form = self._forms[n] = _ClosedForm(self.fit(n), self._direct_part, self.amp_ris)
-        return form
-
-
 @dataclass(frozen=True, init=False)
 class Link:
     """One BS->UAV link: direct-only, RIS-only or composite, by which of
@@ -497,9 +439,9 @@ class Link:
 
     `kind` is which of LINK_KINDS the link is.  A RIS link gets its Laguerre
     fit (`fit`) and, if composite, its closed-form constants when it is
-    built, from `parts`: a LinkChannel passes the parts its links share, and
-    a link built without them derives its own.  Links key dicts, so the hash
-    is computed once, when the link is built.
+    built: built directly, from fit_laguerre and _ClosedForm; built by a
+    LinkChannel, from the channel's per-N memo of the same two.  Links key
+    dicts, so the hash is computed once, when the link is built.
     """
 
     direct: NakagamiParams | None
@@ -507,18 +449,26 @@ class Link:
     budget: LinkBudget
 
     def __init__(self, direct: NakagamiParams | None, ris: RisLinkParams | None,
-                 budget: LinkBudget, parts: _LinkParts | None = None):
+                 budget: LinkBudget):
+        fit = closed = None
+        if ris is not None:
+            fit = fit_laguerre(ris)
+            if direct is not None:
+                closed = _ClosedForm(fit, _half_integer_m(direct), budget.amp_direct,
+                                     budget.amp_ris)
+        self._fill(direct, ris, budget, fit, closed)
+
+    @classmethod
+    def _built(cls, direct, ris, budget, fit, closed) -> Link:
+        """The link with the fit and constants given, as a LinkChannel builds it."""
+        link = object.__new__(cls)
+        link._fill(direct, ris, budget, fit, closed)
+        return link
+
+    def _fill(self, direct, ris, budget, fit, closed):
         if direct is None and ris is None:
             raise ValueError("a link needs a direct path, a RIS path or both")
         kind = "direct" if ris is None else "ris" if direct is None else "composite"
-        fit = closed = None
-        if ris is not None:
-            if parts is None:
-                parts = _LinkParts(ris.hop_g2r, ris.hop_r2a, direct, budget.amp_direct,
-                                   budget.amp_ris)
-            fit = parts.fit(ris.n_elements)
-            if direct is not None:
-                closed = parts.closed(ris.n_elements)
         # equal links have equal kinds, element counts and budgets, which tell
         # the links of a drop apart, so they make the hash
         n_elements = 0 if ris is None else ris.n_elements
@@ -599,7 +549,14 @@ LINK_KINDS = ("direct", "ris", "composite")
 
 @dataclass(frozen=True)
 class LinkChannel:
-    """All per-UAV channel constants resolved from one scenario drop."""
+    """All per-UAV channel constants resolved from one scenario drop, and the
+    one owner of what its links derive from them per element count N.
+
+    The channel computes the element moments of its two hops once, and
+    memoizes per N the partition, its Laguerre fit and, at the first
+    composite link, its closed-form constants; laguerre(n), ris_params(n)
+    and the links of N hold the same objects, and the channel's at_snr
+    copies share the memo."""
 
     uav: int
     ris: int
@@ -612,16 +569,15 @@ class LinkChannel:
     max_ris_elements: int
     # link() memo: (kind, n_elements) -> Link
     _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per-N memo: n_elements -> [partition, Laguerre fit, _ClosedForm or None]
+    _per_n: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the budget every link of the channel carries
+        # the budget every link of the channel carries, and the element
+        # moments every N's fit shares
         object.__setattr__(self, "_budget",
                            LinkBudget(self.gamma_bar_c, self.amp_direct, self.amp_ris))
-
-    @functools.cached_property
-    def _parts(self) -> _LinkParts:
-        return _LinkParts(self.hop_g2r, self.hop_r2a, self.direct_fading, self.amp_direct,
-                          self.amp_ris)
+        object.__setattr__(self, "_moments", _element_moments(self.hop_g2r, self.hop_r2a))
 
     @property
     def gamma_bar_d(self) -> float:
@@ -637,21 +593,29 @@ class LinkChannel:
 
     def at_snr(self, gamma_bar_c: float) -> LinkChannel:
         """This channel at transmit SNR gamma_bar_c = P_t / P_N.  Nothing the
-        fits and closed-form constants depend on changes, so the links of
-        both channels share them: each N's are computed once for every SNR.
+        fits and closed-form constants depend on changes, so both channels
+        share the per-N memo: each N's are computed once for every SNR.
 
         A sweep makes one per point and UAV, so it is a copy of this
         channel's instance dict, not a call of the generated __init__."""
         channel = object.__new__(LinkChannel)
-        vars(channel).update(vars(self), gamma_bar_c=gamma_bar_c, _links={}, _parts=self._parts,
+        vars(channel).update(vars(self), gamma_bar_c=gamma_bar_c, _links={},
                              _budget=LinkBudget(gamma_bar_c, self.amp_direct, self.amp_ris))
         return channel
 
-    def ris_params(self, n_elements: int) -> RisLinkParams:
-        return RisLinkParams(hop_g2r=self.hop_g2r, hop_r2a=self.hop_r2a, n_elements=n_elements)
+    def _entry(self, n_elements: int) -> list:
+        """The per-N memo entry of n_elements, built at its first use."""
+        entry = self._per_n.get(n_elements)
+        if entry is None:
+            ris = RisLinkParams(self.hop_g2r, self.hop_r2a, n_elements)
+            entry = self._per_n[n_elements] = [ris, _sum_fit(n_elements, *self._moments), None]
+        return entry
 
-    def laguerre(self, n_elements: int):
-        return fit_laguerre(self.ris_params(n_elements))
+    def ris_params(self, n_elements: int) -> RisLinkParams:
+        return self._entry(n_elements)[0]
+
+    def laguerre(self, n_elements: int) -> LaguerreFit:
+        return self._entry(n_elements)[1]
 
     def rounded_direct(self) -> NakagamiParams:
         """Direct fading with m3 snapped to the nearest half-integer, as the
@@ -678,9 +642,15 @@ class LinkChannel:
                     link = self._links["direct", 0] = Link(self.direct_fading, None,
                                                             self._budget)
             else:
-                parts = self._parts
-                direct = None if kind == "ris" else self.direct_fading
-                link = Link(direct, parts.ris_params(n_elements), self._budget, parts)
+                entry = self._entry(n_elements)
+                if kind == "ris":
+                    link = Link._built(None, entry[0], self._budget, entry[1], None)
+                else:
+                    if entry[2] is None:  # the constants are built at the snapped m3
+                        entry[2] = _ClosedForm(entry[1], _half_integer_m(self.direct_fading),
+                                               self.amp_direct, self.amp_ris)
+                    link = Link._built(self.direct_fading, entry[0], self._budget, entry[1],
+                                       entry[2])
             self._links[key] = link
         return link
 

@@ -83,12 +83,16 @@ def _is_real(value) -> bool:
 
 
 def _is_finite_real(value) -> bool:
-    return _is_real(value) and math.isfinite(value)
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _check_rate(key: str, rate):
-    if not (_is_finite_real(rate) and rate > 0):
-        raise ConfigError(f"{key}: target rate must be a finite number > 0 bpc, got {rate!r}")
+    # SIC needs 2^R - 1 as a float, and 2.0 ** R overflows from R = 1024 on
+    if not (_is_finite_real(rate) and 0 < rate < 1024):
+        raise ConfigError(f"{key}: target rate must be a number > 0 and < 1024 bpc, got {rate!r}")
 
 
 def _check_seed(key: str, seed: int):

@@ -465,6 +465,7 @@ def test_link_channel_builds_each_link_once():
         channel.laguerre(0)  # no element sum to fit; N = 0 is the direct link
 
 
+@pytest.mark.bits
 def test_at_snr_is_the_channel_at_another_snr():
     # a sweep's power point: the channel dataclasses.replace gives, whose
     # links share this channel's fits and closed-form constants
@@ -481,6 +482,20 @@ def test_at_snr_is_the_channel_at_another_snr():
         assert loud._closed is link._closed
         assert loud == Link(loud.direct, loud.ris, loud.budget) != link
     assert louder.link("direct", 0) == Link(channel.direct_fading, None, louder.budget())
+
+
+@pytest.mark.bits
+def test_one_memo_per_channel():
+    # laguerre, ris_params and the links of an element count hold one fit and
+    # one partition, which the channel's at_snr copies share
+    channel = _default_links()[2]
+    louder = channel.at_snr(2.0 * channel.gamma_bar_c)
+    for view in (channel, louder):
+        for n in (1, 64, 1024):
+            fit = view.laguerre(n)
+            assert fit is view.link("ris", n).fit is view.link("composite", n).fit
+            assert view.ris_params(n) is view.link("ris", n).ris
+            assert fit is channel.laguerre(n) and view.ris_params(n) is channel.ris_params(n)
 
 
 class TestLinkCdfArrays:
@@ -640,6 +655,7 @@ def _mixed_pairs():
     return pairs
 
 
+@pytest.mark.bits
 def test_link_cdfs_batch_is_singletons_bit_for_bit():
     pairs = _mixed_pairs()
     links, gammas = [link for link, _ in pairs], [g for _, g in pairs]
@@ -680,6 +696,7 @@ def test_link_cdfs_batch_is_singletons_bit_for_bit():
     assert all(v == 0.0 for v, g in zip(batch, gammas) if g == 0.0)
 
 
+@pytest.mark.bits
 def test_link_cdfs_empty_and_domain():
     channel = _default_links()[0]
     link = channel.link("composite", 16)
@@ -745,12 +762,25 @@ class TestCompositeClosed:
         with pytest.raises(ValueError):
             composite_snr_cdf_closed(link.laguerre(8), link.direct_fading, link.budget(), 1.0)
 
+    def test_half_integer_tolerance(self):
+        # 2 m3 may miss an integer by 1e-6 and no more
+        link = _table_i_link()
+        fit, b = link.laguerre(8), link.budget()
+        at_half = composite_snr_cdf_closed(fit, NakagamiParams(1.5), b, 1.0)
+        for m3 in (1.5 - 4e-7, 1.5 + 4e-7):  # 2 m3 off by 8e-7
+            assert composite_snr_cdf_closed(fit, NakagamiParams(m3), b, 1.0) == pytest.approx(
+                at_half, abs=1e-5)
+        for m3 in (1.5 + 6e-7, 1.5 + 2e-6, 1.5 - 6e-7):  # off by 1.2e-6, 4e-6, 1.2e-6
+            with pytest.raises(ValueError, match="half-integer m3"):
+                composite_snr_cdf_closed(fit, NakagamiParams(m3), b, 1.0)
+
     def test_unclamped_diagnostic(self):
         link = _table_i_link()
         fit = link.laguerre(16)
         clamped = composite_snr_cdf_closed(fit, link.direct_fading, link.budget(), 1e-9)
         assert 0.0 <= clamped <= 1.0
 
+    @pytest.mark.bits
     def test_transmit_powers_share_one_constant_set(self, monkeypatch):
         # the constants depend on the amplitudes, not on gamma_bar_c, so a
         # channel's links at several powers build them once, and each
@@ -863,6 +893,7 @@ class TestLinkResolution:
         pairs = n_ris + n_ris * n_uavs + n_uavs
         assert calls == {"los_probability": pairs, "path_loss_amplitude": pairs}
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("key", sorted(GOLDEN_RESOLVE_LINKS))
     def test_golden_floats(self, recorded_stack, key):
         shapes, drop = key.split("/")

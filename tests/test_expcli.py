@@ -304,6 +304,7 @@ GOLDEN_SCALAR_SWEEP = {
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("config, drop", sorted(GOLDEN_SCALAR_SWEEP), ids=lambda v: str(v))
 def test_scalar_sweep_golden_floats(tmp_path, recorded_stack, config, drop):
     cfg = load_config(BENCH_CONFIGS / f"{config}.yaml")
@@ -319,6 +320,7 @@ GOLDEN_SCALAR_SWEEP_MC = json.loads(
     (Path(__file__).resolve().parent / "golden_scalar_sweep_mc.json").read_text())
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("key", sorted(GOLDEN_SCALAR_SWEEP_MC))
 def test_scalar_sweep_mc_golden_floats(tmp_path, recorded_stack, key):
     config, beta, drop = key.split("/")
@@ -339,6 +341,7 @@ GOLDEN_SWEEP_LINKS = json.loads(
     (Path(__file__).resolve().parent / "golden_sweep_links.json").read_text())
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("key", sorted(GOLDEN_SWEEP_LINKS))
 def test_sweep_links_golden_floats(tmp_path, recorded_stack, key):
     fading, drop = key.split("/")
@@ -454,7 +457,12 @@ class TestCliErrors:
          "sweep.fixed_target_rate"),
         ("sweep-rate", [("variable: n_elements", "variable: target_rate"),
                         ("grid: [0, 4, 16, 64]", "grid: [1.0, 0.0]")], "sweep.grid"),
-    ], ids=["zero", "nan", "zero_in_rate_grid"])
+        # 2^R - 1 overflows a float from R = 1024 bpc on
+        ("sweep-links", [("fixed_n_elements: 64", "fixed_n_elements: 64\n  fixed_target_rate: 2000.0")],
+         "sweep.fixed_target_rate"),
+        ("sweep-rate", [("variable: n_elements", "variable: target_rate"),
+                        ("grid: [0, 4, 16, 64]", "grid: [1.0, 1024.0]")], "sweep.grid"),
+    ], ids=["zero", "nan", "zero_in_rate_grid", "overflow", "overflow_in_rate_grid"])
     def test_bad_target_rate(self, tmp_path, capsys, cmd, edits, key):
         text = FAST_YAML
         for old, new in edits:
@@ -534,8 +542,13 @@ class TestCliErrors:
         ("scenario:\n  uav_altitude_m: [80.0, .inf]\n", "scenario.uav_altitude_m",
          "a list of finite numbers"),
         ("ruom:\n  lambdas: [.nan]\n", "ruom.lambdas", "a list of finite numbers"),
+        # a YAML integer too large for a float
+        ("scenario:\n  tx_power_dbm: 1" + "0" * 400 + "\n", "scenario.tx_power_dbm",
+         "a finite number"),
+        ("sweep:\n  fixed_target_rate: 1" + "0" * 400 + "\n", "sweep.fixed_target_rate",
+         "a finite number"),
     ], ids=["nan_m_direct", "nan_omega", "inf_m_hops", "nan_tx_power", "nan_tolerance",
-            "inf_zeta", "inf_altitude", "nan_lambda"])
+            "inf_zeta", "inf_altitude", "nan_lambda", "huge_tx_power", "huge_target_rate"])
     def test_real_key_needs_finite_number(self, tmp_path, capsys, text, key, wanted):
         cfg = _write(tmp_path, text)
         with pytest.raises(ConfigError, match=f"{key} must be {wanted}"):
@@ -590,6 +603,7 @@ class TestCurveScoring:
                 expected.append(ordered_cdf(parent, rank, len(links)).hex())
         assert [row[4].hex() for row in rows] == expected
 
+    @pytest.mark.bits
     def test_sweep_power_builds_one_constant_set_per_rank(self, tmp_path, monkeypatch):
         # a rank's links at every transmit power share one closed-form
         # constant set
@@ -605,6 +619,7 @@ class TestCurveScoring:
         expcli.run_sweep_power(cfg, 1, tmp_path, False)
         assert len(built) == cfg.scenario.n_uavs
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("name, runner", [
         ("sweep-links", expcli.run_sweep_links),
         ("sweep-power", expcli.run_sweep_power),
@@ -881,6 +896,7 @@ def _plain(value):
     return value
 
 
+@pytest.mark.bits
 class TestWriterBytes:
     """Result files are rendered in memory and written in one call; their
     bytes are those of csv.writer and json.dumps(indent=2, sort_keys=True)."""

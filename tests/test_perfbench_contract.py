@@ -52,6 +52,7 @@ SEED1_DIGESTS = {
 }
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("workload", list(SEED1_DIGESTS))
 def test_plan_digest(wl, tmp_path, recorded_stack, workload):
     chunks = []

@@ -465,6 +465,7 @@ GOLDEN_RUOM = {
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("config, drop", sorted(GOLDEN_RUOM), ids=lambda v: str(v))
 def test_ruom_report_golden_floats(tmp_path, recorded_stack, config, drop):
     cfg = expcli.load_config(BENCH_CONFIGS / f"{config}.yaml")

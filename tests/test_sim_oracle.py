@@ -392,6 +392,7 @@ class _ReversedPool:
         return iter([fn(job) for job in reversed(jobs)][::-1])
 
 
+@pytest.mark.bits
 class TestParallelBatches:
     """Batches run concurrently, draw the serial stream and reduce to the
     serial result bit for bit."""
