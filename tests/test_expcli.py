@@ -406,12 +406,36 @@ class TestValidateFormerQuadratureFailures:
         assert "composite_quadrature_vs_mc" in checks
 
 
-def test_cli_import_leaves_scipy_integrate_out():
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout's risnoma."""
     src = str(Path(expcli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_leaves_scipy_integrate_out():
     code = "import risnoma.expcli, sys; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
+
+
+def test_package_import_loads_no_dependency():
+    code = ("import risnoma, sys; "
+            "sys.exit(risnoma.__version__ != '0.1.0' "
+            "or any(m in sys.modules for m in ('numpy', 'scipy', 'yaml')))")
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
+
+
+def test_submodule_is_the_module():
+    import risnoma.ruom as by_import
+    from risnoma import ruom as by_from
+    assert by_import is by_from is sys.modules["risnoma.ruom"]
+
+
+def test_module_entry_point_help():
+    run = subprocess.run([sys.executable, "-m", "risnoma.expcli", "--help"], env=_src_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0
+    assert "sweep-links" in run.stdout
 
 
 class TestCliErrors:
@@ -493,6 +517,15 @@ class TestCliErrors:
     def test_every_lambda_checked(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, abc]\n")
         assert main(["ruom", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_repeated_lambda_rejected(self, tmp_path, capsys):
+        # 0.10000000000000001 is the float 0.1: RUOM would run twice, writing
+        # each trace row twice under one summary key
+        cfg = _write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, 0.10000000000000001]\n")
+        out = tmp_path / "out"
+        assert main(["ruom", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: ruom.lambdas entries must be distinct" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_links_variable_mismatch(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))
