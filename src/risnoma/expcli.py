@@ -186,7 +186,8 @@ class RuomBlock:
             raise ConfigError("ruom.lambdas must be nonempty")
         for lam in self.lambdas:
             self.params(lam)  # delegate range checks
-        if len({float(lam) for lam in self.lambdas}) < len(self.lambdas):
+        # as ruom_trace.csv prints them, so no two runs share a trace label
+        if len({_fmt(lam) for lam in self.lambdas}) < len(self.lambdas):
             raise ConfigError(f"ruom.lambdas entries must be distinct, got {list(self.lambdas)}")
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "NoFeasibleAllocationError",
     "RisCapacityExhausted",
     "RuomParams",
-    "RisAssignment",
     "RuomIteration",
     "RuomTrace",
     "RuomResult",
@@ -65,32 +64,6 @@ class RuomParams:
 
 
 @dataclass(frozen=True)
-class RisAssignment:
-    """Element counts per (rank, ris) with per-RIS capacity caps."""
-
-    n: tuple  # n[rank-1] = (ris_index, count)
-    caps: dict
-
-    def __post_init__(self):
-        sums = {}
-        for ris_k, count in self.n:
-            if count < 0:
-                raise ValueError("element counts must be nonnegative")
-            sums[ris_k] = sums.get(ris_k, 0) + count
-        for ris_k, total in sums.items():
-            if total > self.caps[ris_k]:
-                raise ValueError(f"RIS {ris_k} over capacity: {total} > {self.caps[ris_k]}")
-
-    @property
-    def counts(self):
-        return tuple(count for _, count in self.n)
-
-    @property
-    def total(self) -> int:
-        return sum(count for _, count in self.n)
-
-
-@dataclass(frozen=True)
 class RuomIteration:
     t: int
     beta: tuple
@@ -109,7 +82,6 @@ class RuomTrace:
 @dataclass(frozen=True)
 class RuomResult:
     beta_star: PowerAllocation
-    assignment: RisAssignment
     trace: RuomTrace
     converged: bool
     iterations: int
@@ -237,9 +209,7 @@ def ruom(model: OutageModel, params: RuomParams) -> RuomResult:
     """
     m_users = model.m_users
     rates = model.rates
-    caps = {}
-    for link in model.links:
-        caps[link.ris] = link.max_ris_elements
+    caps = {link.ris: link.max_ris_elements for link in model.links}
     n_per_rank = [0] * m_users
     trace = RuomTrace()
     beta_prev = None
@@ -307,15 +277,8 @@ def ruom(model: OutageModel, params: RuomParams) -> RuomResult:
                 break
         beta_prev = beta_t
 
-    assignment = RisAssignment(
-        n=tuple(
-            (model.links[i].ris, n_per_rank[i]) for i in range(m_users)
-        ),
-        caps=caps,
-    )
     return RuomResult(
         beta_star=beta_t,
-        assignment=assignment,
         trace=trace,
         converged=converged,
         iterations=len(trace.iterations),

@@ -518,10 +518,15 @@ class TestCliErrors:
         cfg = _write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, abc]\n")
         assert main(["ruom", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_repeated_lambda_rejected(self, tmp_path, capsys):
-        # 0.10000000000000001 is the float 0.1: RUOM would run twice, writing
-        # each trace row twice under one summary key
-        cfg = _write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, 0.10000000000000001]\n")
+    @pytest.mark.parametrize("second", [
+        # the float 0.1: RUOM would run twice, writing each trace row twice
+        # under one summary key
+        pytest.param("0.10000000000000001", id="same-float"),
+        # a distinct float, but ruom_trace.csv prints both as 1.000000000000e-01
+        pytest.param("0.10000000000001", id="same-label"),
+    ])
+    def test_repeated_lambda_rejected(self, tmp_path, capsys, second):
+        cfg = _write(tmp_path, FAST_YAML + f"ruom:\n  lambdas: [0.1, {second}]\n")
         out = tmp_path / "out"
         assert main(["ruom", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "config error: ruom.lambdas entries must be distinct" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scen
 from risnoma.noma import OutageModel, PowerAllocation
 from risnoma.ruom import (
     NoFeasibleAllocationError,
-    RisAssignment,
     RisCapacityExhausted,
     RuomIteration,
     RuomParams,
@@ -123,10 +122,7 @@ def ruom_walk(model, params):
                 converged = True
                 break
         beta_prev = beta_t
-    assignment = RisAssignment(
-        n=tuple((model.links[i].ris, n_per_rank[i]) for i in range(m_users)), caps=caps
-    )
-    return RuomResult(beta_t, assignment, trace, converged, len(trace.iterations))
+    return RuomResult(beta_t, trace, converged, len(trace.iterations))
 
 
 # (n_uavs, tx_power_dbm, rate in bpc, drop seed, fading shapes or None for LoS fit)
@@ -226,7 +222,7 @@ class TestRuom:
         model = _model(n_uavs=1, tx_power_dbm=37.0)
         res = ruom(model, RuomParams(lam=0.1, delta=1e-3))
         assert res.beta_star.beta == (1.0,)
-        assert res.assignment.total == 0
+        assert res.trace.iterations[-1].total_elements == 0
         assert res.converged and res.iterations == 2
 
     def test_three_uav_fixed_seed_properties(self):
@@ -288,6 +284,11 @@ class TestRuom:
         assert res.trace.events
         ev = res.trace.events[0]
         assert ev.outage >= 1e-3 and ev.rank >= 1
+        # the ranks on one RIS share its 8 elements: their final counts never
+        # sum past that cap
+        final = res.trace.iterations[-1].n_per_rank
+        for ris_k in {link.ris for link in links}:
+            assert sum(n for n, link in zip(final, links) if link.ris == ris_k) <= 8
 
     @pytest.mark.parametrize("n_uavs,tx_power_dbm,rate,seed,shapes", WALK_PARITY_CASES)
     def test_bisection_matches_walk(self, n_uavs, tx_power_dbm, rate, seed, shapes):
@@ -343,7 +344,7 @@ class TestRuom:
         stages = [len(run) for run in "".join(log).split("|") if run]
         assert len(stages) == res.iterations
         cap = max(link.max_ris_elements for link in model.links)
-        assert res.assignment.total > 500
+        assert res.trace.iterations[-1].total_elements > 500
         assert max(stages) <= model.m_users * (math.ceil(math.log2(cap + 1)) + 1)
 
     def test_each_distinct_outage_scored_once(self, monkeypatch):
@@ -382,16 +383,6 @@ class TestRuom:
                 continue
             best = min(best, val)
         assert max(model.outages(res.beta_star, n_final)) <= best + 1e-6
-
-
-class TestRisAssignment:
-    def test_capacity_enforced(self):
-        with pytest.raises(ValueError):
-            RisAssignment(n=((0, 5), (0, 5)), caps={0: 8})
-
-    def test_totals(self):
-        a = RisAssignment(n=((0, 5), (1, 3)), caps={0: 8, 1: 8})
-        assert a.total == 8 and a.counts == (5, 3)
 
 
 class TestRuomParams:
