@@ -275,9 +275,13 @@ def _check_type(key: str, default, value):
     else:
         return
     if not ok:
-        # PyYAML takes an exponent for a number only after a dot and a sign
-        raise ConfigError(f"{key} must be {wanted}, got {value!r}; YAML reads 1e-3 or 4.0e7 "
-                          "as text, so write 1.0e-3 or 4.0e+7")
+        message = f"{key} must be {wanted}, got {value!r}"
+        # PyYAML takes an exponent for a number only after a dot and a sign;
+        # the hint is for a value, or a list entry, that YAML gave as text
+        entries = value if isinstance(value, list) else [value]
+        if any(isinstance(v, str) for v in entries):
+            message += "; YAML reads 1e-3 or 4.0e7 as text, so write 1.0e-3 or 4.0e+7"
+        raise ConfigError(message)
 
 
 def _build_block(cls, name, data):

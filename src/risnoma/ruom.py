@@ -3,8 +3,9 @@
 The outer (fairness) stage minimizes the worst per-UAV outage over power
 coefficient vectors enumerated by a progressive grid search whose resolution
 shrinks geometrically; the inner (efficiency) stage then gives each UAV the
-fewest RIS elements that keep its outage below the threshold, found by
-bisection on the element count (outage is nonincreasing in it).  Iterate
+fewest RIS elements that keep its outage below the threshold: two outage
+calls when one element already meets it, otherwise a bisection on the
+element count (outage is nonincreasing in it from one element).  Iterate
 until the power vector stops moving.
 """
 
@@ -183,10 +184,15 @@ def evaluate_candidates(candidates, objective) -> PowerAllocation:
 def _fewest_elements(outage, delta: float, hi: int):
     """Smallest n in [0, hi] with outage(n) < delta, by bisection.
 
-    outage must be nonincreasing in n.  Returns (n, None), or (hi, outage(hi))
-    when even hi elements leave the outage at or above delta.  Costs
-    ceil(log2(hi + 1)) + 1 outage evaluations at most.
+    outage must be nonincreasing in n from n = 1; n = 0 may lie on either
+    side of n = 1 and is settled as the bisection settles it.  Returns
+    (n, None), or (hi, outage(hi)) when even hi elements leave the outage at
+    or above delta.  Costs 2 outage evaluations when one element meets delta
+    (every larger count then does too, so only n = 0 is open), otherwise
+    ceil(log2(hi + 1)) + 2 at most.
     """
+    if hi >= 1 and outage(1) < delta:
+        return (0 if outage(0) < delta else 1), None
     out_hi = outage(hi)
     if out_hi >= delta:
         return hi, out_hi

@@ -536,25 +536,28 @@ class TestCliErrors:
         cfg = _write(tmp_path, FAST_YAML.replace("variable: n_elements", "variable: target_rate"))
         assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("text, key", [
-        ("scenario:\n  tx_power_dbm: 3.7e1\n", "scenario.tx_power_dbm"),
-        ("environment:\n  zeta: 2.0e1\n", "environment.zeta"),
-        ("scenario:\n  bandwidth_hz: 4.0e7\n", "scenario.bandwidth_hz"),
-        ("mc:\n  trials: 1e-3\n", "mc.trials"),
-        ("scenario:\n  n_uavs: 3.0\n", "scenario.n_uavs"),
-        ("ruom:\n  max_iter: true\n", "ruom.max_iter"),
-        ("channel:\n  m_direct: 1e-3\n", "channel.m_direct"),
-        ("scenario:\n  uav_altitude_m: [1e-3, 120.0]\n", "scenario.uav_altitude_m"),
-        ("ruom:\n  lambdas: [1e-3]\n", "ruom.lambdas"),
-        ("seed: 1e-3\n", "seed"),
-    ], ids=["float_text", "float_text_env", "float_no_sign", "int_text", "int_float", "int_bool",
-            "none_default_text", "tuple_entry_text", "lambda_text", "seed_text"])
-    def test_number_read_as_text(self, tmp_path, capsys, text, key):
-        # PyYAML reads 1e-3, 3.7e1 and 4.0e7 as text; the boundary names the key
+    @pytest.mark.parametrize("text, key, read_as_text", [
+        ("scenario:\n  tx_power_dbm: 3.7e1\n", "scenario.tx_power_dbm", True),
+        ("environment:\n  zeta: 2.0e1\n", "environment.zeta", True),
+        ("scenario:\n  bandwidth_hz: 4.0e7\n", "scenario.bandwidth_hz", True),
+        ("mc:\n  trials: 1e-3\n", "mc.trials", True),
+        ("scenario:\n  n_uavs: 3.0\n", "scenario.n_uavs", False),
+        ("sweep:\n  fixed_n_elements: 2.5\n", "sweep.fixed_n_elements", False),
+        ("ruom:\n  max_iter: true\n", "ruom.max_iter", False),
+        ("channel:\n  m_direct: 1e-3\n", "channel.m_direct", True),
+        ("scenario:\n  uav_altitude_m: [1e-3, 120.0]\n", "scenario.uav_altitude_m", True),
+        ("ruom:\n  lambdas: [1e-3]\n", "ruom.lambdas", True),
+        ("seed: 1e-3\n", "seed", True),
+    ], ids=["float_text", "float_text_env", "float_no_sign", "int_text", "int_float",
+            "int_fraction", "int_bool", "none_default_text", "tuple_entry_text", "lambda_text",
+            "seed_text"])
+    def test_number_read_as_text(self, tmp_path, capsys, text, key, read_as_text):
+        # PyYAML reads 1e-3, 3.7e1 and 4.0e7 as text; the boundary names the
+        # key, and says how to write the number only when YAML gave it text
         cfg = _write(tmp_path, text)
         assert main(["sweep-links", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert key in err and "4.0e+7" in err
+        assert key in err and ("4.0e+7" in err) == read_as_text
 
     @pytest.mark.parametrize("text, key", [
         ("output:\n  directory: [1, 2]\n", "output.directory"),

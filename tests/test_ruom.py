@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risnoma import channels, expcli
+from risnoma import channels, expcli, ruom as ruom_module
 from risnoma.channels import resolve_links
 from risnoma.environment import EnvironmentParams, ScenarioConfig, generate_scenario
 from risnoma.noma import OutageModel, PowerAllocation
@@ -18,6 +18,7 @@ from risnoma.ruom import (
     RuomParams,
     RuomResult,
     RuomTrace,
+    _fewest_elements,
     evaluate_candidates,
     pgs,
     ruom,
@@ -296,6 +297,27 @@ class TestRuom:
         params = RuomParams()
         assert ruom(_model(**kwargs), params) == ruom_walk(_model(**kwargs), params)
 
+    def test_one_element_settles_rank_in_two_calls(self, monkeypatch):
+        # direct links alone meet delta on this drop (the last WALK_PARITY_CASES
+        # entry): each rank's search scores N = 1, then N = 0, and stops; a
+        # bisection from the cap takes 11 calls
+        searches = []
+
+        def logged(outage, delta, hi):
+            calls = []
+            searches.append(calls)
+
+            def scored(n):
+                calls.append(n)
+                return outage(n)
+            return _fewest_elements(scored, delta, hi)
+
+        monkeypatch.setattr(ruom_module, "_fewest_elements", logged)
+        model = _model(n_uavs=3, tx_power_dbm=30.0, seed=6, rates=1.0, shapes=None)
+        res = ruom(model, RuomParams())
+        assert len(searches) == res.iterations * model.m_users
+        assert searches == [[1, 0]] * len(searches)
+
     def test_capacity_exhausted_rank_takes_what_is_left(self):
         # three UAVs share one 8-element RIS at 20 dBm: rank 1 takes all 8
         # and still misses delta, which leaves ranks 2 and 3 none
@@ -383,6 +405,45 @@ class TestRuom:
                 continue
             best = min(best, val)
         assert max(model.outages(res.beta_star, n_final)) <= best + 1e-6
+
+
+def bisection_reference(outage, delta, hi):
+    """The efficiency stage's search before its one-element shortcut: plain
+    bisection from the cap."""
+    out_hi = outage(hi)
+    if out_hi >= delta:
+        return hi, out_hi
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outage(mid) < delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi, None
+
+
+@pytest.mark.bits
+def test_fewest_elements_matches_bisection_exhaustively():
+    # every cap up to 128, every outage that passes delta from some first
+    # count k in [1, hi] on (k = hi + 1: none in [1, hi] passes), and either
+    # verdict at N = 0, which the m3 snap may put on either side of N = 1
+    delta, cases = 0.5, 0
+    for hi in range(129):
+        bound = math.ceil(math.log2(hi + 1)) + 2
+        for k, zero_passes in itertools.product(range(1, hi + 2), (False, True)):
+            calls = []
+
+            def outage(n):
+                calls.append(n)
+                passes = zero_passes if n == 0 else n >= k
+                return 0.25 if passes else 0.75 + n  # failing values tell n apart
+
+            got = _fewest_elements(outage, delta, hi)
+            assert len(calls) <= bound, (hi, k, zero_passes, calls)
+            assert got == bisection_reference(outage, delta, hi), (hi, k, zero_passes)
+            cases += 1
+    assert cases == 16770
 
 
 class TestRuomParams:
