@@ -32,11 +32,11 @@ A LinkChannel owns what its links derive per element count N: it computes
 the element moments of its two hops once, and memoizes per N the partition,
 the Laguerre fit and the closed-form constants, which its LinkChannel.at_snr
 copies share, so a sweep's power points compute each N's once.  The fit
-comes from _sum_fit, as in fit_laguerre, and the constants from _ClosedForm,
-as in composite_snr_cdf_closed and a directly built Link, each with the
-expressions and operation order the closed form has always used.  What
-depends on the direct shape m3 alone comes from one bounded cache keyed by
-m3; nothing else is cached across channels."""
+comes from _sum_fit, as in fit_laguerre, and the channel hands both to
+Link, which builds the constants with _ClosedForm at a channel's first
+composite link of an N.  What depends on the direct shape m3 alone comes
+from one bounded cache keyed by m3; nothing else is cached across
+channels."""
 
 from __future__ import annotations
 
@@ -138,8 +138,8 @@ class LinkBudget:
     amp_ris: float
 
     def __post_init__(self):
-        if not self.gamma_bar_c > 0:
-            raise ValueError("gamma_bar_c must be positive")
+        if not (self.gamma_bar_c > 0 and math.isfinite(self.gamma_bar_c)):
+            raise ValueError(f"gamma_bar_c must be a finite number > 0, got {self.gamma_bar_c!r}")
         if not (self.amp_direct >= 0 and self.amp_ris >= 0):
             raise ValueError("path-loss amplitudes must be nonnegative numbers")
 
@@ -279,9 +279,9 @@ class _ClosedForm:
     ghat_d, ghat_r), which depend on neither gamma nor gamma_bar_c, and the
     psi sum that _composite_cdfs evaluates with them.
 
-    Every expression is the one the closed form has always evaluated, in the
-    same order and with the same Python operation or scipy.special function,
-    so a value has the same bits whichever pairs it is evaluated with.
+    Each expression runs in a fixed order with a fixed Python operation or
+    scipy.special function, so a value has the same bits whichever pairs it
+    is evaluated with.
     """
 
     def __init__(self, fit: LaguerreFit, direct: NakagamiParams, amp_direct: float,
@@ -341,9 +341,9 @@ def _composite_cdfs(items) -> list:
     A first pass computes each pair's scalars in Python and queues its
     special-function arguments; one gammainc call then gives every F_d and
     branch term and one gammaincc call every psi term at every interval end;
-    a second pass sums each pair's terms in Python.  Python floats, ** and
-    math.exp stay where the closed form has always used them: numpy's SIMD
-    power and exp can differ from them in the last bit.
+    a second pass sums each pair's terms in Python.  The ** and math.exp
+    calls act on Python floats: numpy's SIMD power and exp can differ from
+    them in the last bit.
     """
     staged = []
     lower_a, lower_x = [], []  # gammainc: each pair's F_d, then its branch term
@@ -437,11 +437,12 @@ class Link:
     `direct` and `ris` are present.  The fading parameters are exact; only
     the composite closed form in cdf() snaps m3 to a half-integer.
 
-    `kind` is which of LINK_KINDS the link is.  A RIS link gets its Laguerre
-    fit (`fit`) and, if composite, its closed-form constants when it is
-    built: built directly, from fit_laguerre and _ClosedForm; built by a
-    LinkChannel, from the channel's per-N memo of the same two.  Links key
-    dicts, so the hash is computed once, when the link is built.
+    `kind` is which of LINK_KINDS the link is.  A RIS link holds its
+    Laguerre fit (`fit`) and, if composite, its closed-form constants,
+    computed here unless handed in: fit must then be fit_laguerre(ris) and
+    closed the _ClosedForm of that fit at the snapped m3 and the budget's
+    amplitudes, as a LinkChannel's per-N memo holds them.  Links key dicts,
+    so the hash is computed once, when the link is built.
     """
 
     direct: NakagamiParams | None
@@ -449,26 +450,16 @@ class Link:
     budget: LinkBudget
 
     def __init__(self, direct: NakagamiParams | None, ris: RisLinkParams | None,
-                 budget: LinkBudget):
-        fit = closed = None
-        if ris is not None:
-            fit = fit_laguerre(ris)
-            if direct is not None:
-                closed = _ClosedForm(fit, _half_integer_m(direct), budget.amp_direct,
-                                     budget.amp_ris)
-        self._fill(direct, ris, budget, fit, closed)
-
-    @classmethod
-    def _built(cls, direct, ris, budget, fit, closed) -> Link:
-        """The link with the fit and constants given, as a LinkChannel builds it."""
-        link = object.__new__(cls)
-        link._fill(direct, ris, budget, fit, closed)
-        return link
-
-    def _fill(self, direct, ris, budget, fit, closed):
+                 budget: LinkBudget, *, fit: LaguerreFit | None = None,
+                 closed: _ClosedForm | None = None):
         if direct is None and ris is None:
             raise ValueError("a link needs a direct path, a RIS path or both")
         kind = "direct" if ris is None else "ris" if direct is None else "composite"
+        if ris is not None and fit is None:
+            fit = fit_laguerre(ris)
+        if kind == "composite" and closed is None:
+            closed = _ClosedForm(fit, _half_integer_m(direct), budget.amp_direct,
+                                 budget.amp_ris)
         # equal links have equal kinds, element counts and budgets, which tell
         # the links of a drop apart, so they make the hash
         n_elements = 0 if ris is None else ris.n_elements
@@ -644,13 +635,11 @@ class LinkChannel:
             else:
                 entry = self._entry(n_elements)
                 if kind == "ris":
-                    link = Link._built(None, entry[0], self._budget, entry[1], None)
+                    link = Link(None, entry[0], self._budget, fit=entry[1])
                 else:
-                    if entry[2] is None:  # the constants are built at the snapped m3
-                        entry[2] = _ClosedForm(entry[1], _half_integer_m(self.direct_fading),
-                                               self.amp_direct, self.amp_ris)
-                    link = Link._built(self.direct_fading, entry[0], self._budget, entry[1],
-                                       entry[2])
+                    link = Link(self.direct_fading, entry[0], self._budget, fit=entry[1],
+                                closed=entry[2])
+                    entry[2] = link._closed
             self._links[key] = link
         return link
 

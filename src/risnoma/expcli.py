@@ -100,6 +100,20 @@ def _check_seed(key: str, seed: int):
         raise ConfigError(f"{key} must be an integer >= 0, got {seed!r}")
 
 
+def _check_tx_power(key: str, tx_power_dbm, scenario: ScenarioConfig):
+    # P_t in watts overflows or underflows a float far outside any real
+    # power, and so does the thermal noise of a tiny bandwidth and temperature
+    try:
+        snr = transmit_snr(tx_power_dbm, scenario.bandwidth_hz, scenario.noise_temp_k)
+    except (OverflowError, ZeroDivisionError):
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise ConfigError(
+            f"{key}: {tx_power_dbm!r} dBm over the noise of scenario.bandwidth_hz and "
+            f"scenario.noise_temp_k gives transmit SNR P_t / P_N = {snr!r}, "
+            f"which must be a finite number > 0")
+
+
 @dataclass(frozen=True)
 class ChannelBlock:
     omega: float = 1.0
@@ -148,8 +162,6 @@ class SweepBlock:
             }
             grid = defaults[self.variable]
             object.__setattr__(self, "grid", grid)
-        if len(grid) == 0:
-            raise ConfigError("sweep.grid must be nonempty")
         _check_rate("sweep.fixed_target_rate", self.fixed_target_rate)
         for value in grid:
             if self.variable == "target_rate":
@@ -241,6 +253,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_seed("seed", self.seed)
+        _check_tx_power("scenario.tx_power_dbm", self.scenario.tx_power_dbm, self.scenario)
+        if self.sweep.variable == "tx_power_dbm":
+            for value in self.sweep.grid:
+                _check_tx_power("sweep.grid", value, self.scenario)
 
 
 _BLOCK_TYPES = {f.name: f.default_factory
@@ -294,6 +310,9 @@ def _build_block(cls, name, data):
             raise ConfigError(f"unknown key {name}.{key}")
         _check_type(f"{name}.{key}", known[key].default, value)
         if isinstance(value, list):
+            # an empty sweep.grid would read as the default grid
+            if not value:
+                raise ConfigError(f"{name}.{key} must be nonempty")
             value = tuple(value)
         kwargs[key] = value
     try:

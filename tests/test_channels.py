@@ -453,6 +453,7 @@ def _default_links(drop=2):
     return resolve_links(EnvironmentParams(), scen)
 
 
+@pytest.mark.bits
 def test_link_channel_builds_each_link_once():
     # equal links of one channel are one object, so point lists group them cheaply
     channel = _default_links()[0]
@@ -463,6 +464,30 @@ def test_link_channel_builds_each_link_once():
     assert channel.link("composite", 64) == dataclasses.replace(channel).link("composite", 64)
     with pytest.raises(ValueError):
         channel.laguerre(0)  # no element sum to fit; N = 0 is the direct link
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("m_direct", [None, 2.5], ids=["fitted_m3", "pinned_m3"])
+def test_link_and_channel_build_the_same_link(m_direct):
+    # Link(direct, ris, budget) computes its own fit and constants, where a
+    # channel hands in its per-N memo's; both give the same link, bit for bit
+    scen = generate_scenario(ScenarioConfig(), 2)
+    channel = resolve_links(EnvironmentParams(), scen, m_direct=m_direct)[0]
+    for view in (channel, channel.at_snr(3.0 * channel.gamma_bar_c)):
+        budget = view.budget()
+        for kind, direct in (("ris", None), ("composite", view.direct_fading)):
+            for n in (1, 64, 1024):
+                built = view.link(kind, n)
+                alone = Link(direct, RisLinkParams(view.hop_g2r, view.hop_r2a, n), budget)
+                assert alone == built and alone.kind == built.kind == kind
+                assert alone.fit == built.fit
+                assert (alone._closed is None) == (built._closed is None) == (kind == "ris")
+                if kind == "composite":
+                    assert vars(alone._closed) == vars(built._closed)
+                amp_mean = budget.amp_ris * built.fit.mean_sum + budget.amp_direct
+                grid = np.geomspace(1e-4, 4.0, 40) * budget.gamma_bar_c * amp_mean**2
+                assert [v.hex() for v in alone.cdf(grid).tolist()] == [
+                    v.hex() for v in built.cdf(grid).tolist()]
 
 
 @pytest.mark.bits
@@ -916,10 +941,10 @@ class TestLinkBudget:
         assert b.gamma_bar_r == gamma_bar_c * amp_ris**2
 
     @pytest.mark.parametrize("gamma_bar_c, amp_direct, amp_ris", [
-        (0.0, 1.0, 0.1), (-1.0, 1.0, 0.1), (math.nan, 1.0, 0.1), (1.0, -1e-9, 0.1),
-        (1.0, 1.0, -0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
-    ], ids=["zero_snr", "negative_snr", "nan_snr", "negative_direct", "negative_ris",
-            "nan_direct", "nan_ris"])
+        (0.0, 1.0, 0.1), (-1.0, 1.0, 0.1), (math.nan, 1.0, 0.1), (math.inf, 1.0, 0.1),
+        (1.0, -1e-9, 0.1), (1.0, 1.0, -0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
+    ], ids=["zero_snr", "negative_snr", "nan_snr", "inf_snr", "negative_direct",
+            "negative_ris", "nan_direct", "nan_ris"])
     def test_rejects(self, gamma_bar_c, amp_direct, amp_ris):
         with pytest.raises(ValueError):
             LinkBudget(gamma_bar_c, amp_direct, amp_ris)

@@ -181,7 +181,7 @@ class TestGenerateScenario:
             ScenarioConfig(cell_radius_m=-5.0)
 
 
-class TestSelectBestRis:
+class TestResolveLinksRisChoice:
     """resolve_links serves each UAV through the RIS of largest cascaded
     path-loss amplitude, the lowest index on ties."""
 

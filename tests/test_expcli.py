@@ -514,6 +514,42 @@ class TestCliErrors:
         assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "sweep.grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, text, key", [
+        ("sweep-links", "scenario:\n  tx_power_dbm: 4000.0\n", "scenario.tx_power_dbm"),
+        ("sweep-links", "scenario:\n  tx_power_dbm: -4000.0\n", "scenario.tx_power_dbm"),
+        ("sweep-links", "scenario:\n  tx_power_dbm: 3000.0\n", "scenario.tx_power_dbm"),
+        ("sweep-links", "scenario:\n  bandwidth_hz: 1.0e-300\n  noise_temp_k: 1.0e-300\n",
+         "scenario.tx_power_dbm"),
+        ("sweep-power", "sweep:\n  variable: tx_power_dbm\n  grid: [30.0, 4000.0]\n",
+         "sweep.grid"),
+        ("sweep-power", "sweep:\n  variable: tx_power_dbm\n  grid: [30.0, -4000.0]\n",
+         "sweep.grid"),
+        ("sweep-power", "sweep:\n  variable: tx_power_dbm\n  grid: [30.0, 3000.0]\n",
+         "sweep.grid"),
+    ], ids=["power_overflows", "power_underflows", "snr_infinite", "noise_underflows",
+            "grid_power_overflows", "grid_power_underflows", "grid_snr_infinite"])
+    def test_transmit_snr_out_of_range(self, tmp_path, capsys, cmd, text, key):
+        # P_t / P_N must be a finite number > 0; outside that, a float
+        # overflows or underflows on the way from dBm to watts over the noise
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and "P_t / P_N" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, text, key", [
+        ("sweep-links", "sweep:\n  grid: []\n", "sweep.grid"),
+        ("ruom", "ruom:\n  lambdas: []\n", "ruom.lambdas"),
+    ], ids=["grid", "lambdas"])
+    def test_empty_list_rejected(self, tmp_path, capsys, cmd, text, key):
+        # an empty sweep.grid would otherwise run the default grid
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {key} must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_lambda_checked(self, tmp_path):
         cfg = _write(tmp_path, FAST_YAML + "ruom:\n  lambdas: [0.1, abc]\n")
         assert main(["ruom", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
