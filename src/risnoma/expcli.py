@@ -377,7 +377,7 @@ def _allocation(cfg: ExperimentConfig, model: OutageModel) -> PowerAllocation:
         raise ConfigError(f"noma.beta must sum to one, got {total}")
     beta = tuple(float(b) / total for b in beta)
     margins = _sic_margins(beta, _sic_phis(model.rates), model.m_users)
-    for j, (_, margin) in enumerate(margins, start=1):
+    for j, margin in enumerate(margins, start=1):
         if not margin > 0.0:
             raise ConfigError(
                 f"noma.beta breaks SIC at rank {j} for target rate {model.rates[j - 1]:g} bpc: "

@@ -43,17 +43,26 @@ class PowerAllocation:
     beta: tuple
 
     def __post_init__(self):
-        beta = tuple(float(b) for b in self.beta)
+        beta = tuple([float(b) for b in self.beta])
         object.__setattr__(self, "beta", beta)
-        if len(beta) < 1:
+        if not beta:
             raise ValueError("empty power allocation")
-        if any(not (0.0 < b < 1.0) for b in beta) and beta != (1.0,):
+        # one pass over beta; the errors keep their precedence
+        in_unit = decreasing = True
+        prev = math.inf
+        for b in beta:
+            if not 0.0 < b < 1.0:
+                in_unit = False
+            if not b < prev:
+                decreasing = False
+            prev = b
+        if not in_unit and beta != (1.0,):
             raise ValueError("coefficients must lie in (0, 1) (or be the trivial [1])")
-        if abs(math.fsum(beta) - 1.0) > 1e-9 * len(beta):
-            raise ValueError(f"coefficients must sum to one, got {math.fsum(beta)!r}")
-        for j in range(len(beta) - 1):
-            if not beta[j] > beta[j + 1]:
-                raise ValueError("coefficients must be strictly decreasing")
+        total = math.fsum(beta)
+        if abs(total - 1.0) > 1e-9 * len(beta):
+            raise ValueError(f"coefficients must sum to one, got {total!r}")
+        if not decreasing:
+            raise ValueError("coefficients must be strictly decreasing")
 
     @property
     def m_users(self) -> int:
@@ -80,13 +89,25 @@ def _sic_phis(rates):
 
 
 def _sic_margins(beta, phis, m: int):
-    """Yield (phi_j, beta_j - phi_j * sum_{i>j} beta_i) for ranks j = 1..m.
+    """beta_j - phi_j * sum_{i>j} beta_i of ranks j = 1..m, with phis from
+    _sic_phis.  SIC decodes rank j only if its margin is positive, i.e.
+    (2^R_j - 1) sum_{i>j} beta_i < beta_j."""
+    return [beta[j] - phis[j] * math.fsum(beta[j + 1:]) for j in range(m)]
 
-    phis come from _sic_phis.  SIC decodes rank j only if its margin is
-    positive, i.e. (2^R_j - 1) sum_{i>j} beta_i < beta_j.
-    """
-    for j in range(m):
-        yield phis[j], beta[j] - phis[j] * math.fsum(beta[j + 1:])
+
+def _sic_lbs(beta, phis, m: int):
+    """gamma_j^lb = phi_j / margin_j of ranks j = 1..m; the first rank whose
+    SIC margin is not positive raises InfeasibleAllocationError."""
+    lbs = []
+    for j, denom in enumerate(_sic_margins(beta, phis, m)):
+        if denom <= 0.0:
+            raise InfeasibleAllocationError(
+                j + 1,
+                f"allocation infeasible at rank {j + 1}: "
+                f"beta_{j + 1} - (2^R-1)*interference = {denom:.6g} <= 0",
+            )
+        lbs.append(phis[j] / denom)
+    return lbs
 
 
 def sic_thresholds(alloc: PowerAllocation, rates, m: int):
@@ -100,30 +121,21 @@ def sic_thresholds(alloc: PowerAllocation, rates, m: int):
         raise ValueError("rank out of range")
     if len(rates) != alloc.m_users:
         raise ValueError("need one target rate per user")
-    lbs = []
-    for j, (phi, denom) in enumerate(_sic_margins(alloc.beta, _sic_phis(rates), m), start=1):
-        if denom <= 0.0:
-            raise InfeasibleAllocationError(
-                j,
-                f"allocation infeasible at rank {j}: "
-                f"beta_{j} - (2^R-1)*interference = {denom:.6g} <= 0",
-            )
-        lbs.append(phi / denom)
-    return lbs, _binding_threshold(lbs, m, alloc.m_users)
+    lbs = _sic_lbs(alloc.beta, _sic_phis(rates), m)
+    return lbs, _binding_thresholds(lbs, alloc.m_users)[-1]
 
 
-def _binding_threshold(lbs, m: int, m_users: int) -> float:
-    """Rank m's binding SIC threshold from the gamma_j^lb of ranks 1..m (or more):
+def _binding_thresholds(lbs, m_users: int):
+    """Binding SIC threshold of ranks 1..m from their gamma_j^lb: the running
     max_{j <= m} gamma_j^lb for m < M, gamma_M^lb alone for m = M."""
-    return lbs[m - 1] if m == m_users else max(lbs[:m])
-
-
-def _binding_thresholds(alloc: PowerAllocation, rates):
-    """Binding SIC threshold of every rank under alloc, from one sic_thresholds
-    pass; an allocation that breaks SIC at any rank raises."""
-    m_users = alloc.m_users
-    lbs, _ = sic_thresholds(alloc, rates, m_users)
-    return [_binding_threshold(lbs, m, m_users) for m in range(1, m_users + 1)]
+    out, top = [], -math.inf
+    for lb in lbs:
+        if lb > top:
+            top = lb
+        out.append(top)
+    if len(lbs) == m_users:
+        out[-1] = lbs[-1]
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,7 +153,7 @@ def ordered_cdf(parent_cdf_value, m: int, total: int):
         raise ValueError("rank out of range")
     f = np.asarray(parent_cdf_value, dtype=float)
     values = f.ravel()
-    if any(v < 0.0 or v > 1.0 for v in values.tolist()):
+    if any([v < 0.0 or v > 1.0 for v in values.tolist()]):
         raise ValueError("parent CDF value must lie in [0, 1]")
     terms, factor = _ordered_terms(m, total)
     # F^(m+n) comes from numpy's power, whose bits the results keep; the rest is
@@ -192,7 +204,8 @@ def point_outages(points):
     """
     points, m_users = _operating_points(points)
     allocs = {(alloc.beta, rates): alloc for _, alloc, rates in points}
-    thresholds = {key: _binding_thresholds(alloc, key[1]) for key, alloc in allocs.items()}
+    thresholds = {key: _binding_thresholds(sic_thresholds(alloc, key[1], m_users)[0], m_users)
+                  for key, alloc in allocs.items()}
     pairs = {}  # (link, threshold) -> its place in the link_cdfs batch
     slots = [[pairs.setdefault((links[m], thresholds[alloc.beta, rates][m]), len(pairs))
               for links, alloc, rates in points] for m in range(m_users)]
@@ -216,10 +229,10 @@ class OutageModel:
 
     An outage depends on beta only through the rank's binding SIC threshold,
     so the model keeps every allocation's thresholds and every (rank, N,
-    threshold) score it has computed, and computes each once.  Scores are
-    computed a rank at a time: the thresholds not seen before go through one
-    channels.link_cdfs call and one ordered_cdf call, which give every value
-    the bits a scalar call gives it.
+    threshold) score it has computed, and computes each once.  A call scores
+    everything it has not seen before at once: one channels.link_cdfs call
+    across its ranks, then one ordered_cdf call per rank, which give every
+    value the bits a scalar call gives it.
     """
 
     def __init__(self, links, rates, link_type: str):
@@ -233,6 +246,7 @@ class OutageModel:
             raise ValueError("need one target rate per UAV")
         if any(r <= 0 for r in self.rates):
             raise ValueError("target rates must be positive")
+        self._phis = _sic_phis(self.rates)
         self._thresholds = {}  # beta -> binding SIC threshold of every rank
         self._scores = {}  # (rank, n_elements) -> {binding threshold: outage}
 
@@ -243,27 +257,27 @@ class OutageModel:
     def outage(self, rank: int, alloc: PowerAllocation, n_elements: int) -> float:
         """Outage of the given rank: the ordered CDF of its link at the binding
         SIC threshold.  An infeasible allocation raises InfeasibleAllocationError."""
-        return self._rank_outages(rank, n_elements, (self._threshold(rank, alloc),))[0]
+        threshold = self._threshold(rank, alloc)
+        return self._scored([(rank, n_elements, (threshold,))])[0][threshold]
 
     def outages(self, alloc: PowerAllocation, n_per_rank):
         """Outage of every rank, from one pass over the SIC thresholds."""
         return self.batch_outages([alloc], n_per_rank)[0]
 
     def batch_outages(self, allocs, n_per_rank):
-        """outages(alloc, n_per_rank) of each allocation, scored one rank at a
-        time over the whole batch."""
+        """outages(alloc, n_per_rank) of each allocation: the (rank, threshold)
+        pairs of the whole batch not scored before are scored in one pass."""
         thresholds = [self.thresholds(alloc) for alloc in allocs]
-        per_rank = [
-            self._rank_outages(m, int(n_per_rank[m - 1]), [t[m - 1] for t in thresholds])
-            for m in range(1, self.m_users + 1)
-        ]
-        return [list(outs) for outs in zip(*per_rank)]
+        scores = self._scored([(m, int(n_per_rank[m - 1]), gs)
+                               for m, gs in enumerate(zip(*thresholds), start=1)])
+        return [list(map(dict.__getitem__, scores, t)) for t in thresholds]
 
     def thresholds(self, alloc: PowerAllocation):
         """Binding SIC threshold of every rank under alloc, computed once per beta."""
         out = self._thresholds.get(alloc.beta)
         if out is None:
-            out = self._thresholds[alloc.beta] = _binding_thresholds(alloc, self.rates)
+            lbs = _sic_lbs(alloc.beta, self._phis, self.m_users)
+            out = self._thresholds[alloc.beta] = _binding_thresholds(lbs, self.m_users)
         return out
 
     def _threshold(self, rank: int, alloc: PowerAllocation) -> float:
@@ -276,16 +290,29 @@ class OutageModel:
         except InfeasibleAllocationError as exc:
             if exc.rank_j <= rank:
                 raise
-        return sic_thresholds(alloc, self.rates, rank)[1]
+        return _binding_thresholds(_sic_lbs(alloc.beta, self._phis, rank), self.m_users)[-1]
 
-    def _rank_outages(self, rank: int, n_elements: int, thresholds):
-        """Ordered CDF of the rank's link at each threshold; the thresholds
-        not scored before are scored in one pass."""
-        if self.link_type == "direct":
-            n_elements = 0  # the direct link is the same at every N
-        scores = self._scores.setdefault((rank, n_elements), {})
-        new = [g for g in dict.fromkeys(thresholds) if g not in scores]
-        if new:
-            parent = ch.link_cdfs([self.link(rank, n_elements)] * len(new), new)
-            scores.update(zip(new, ordered_cdf(parent, rank, self.m_users).tolist()))
-        return [scores[g] for g in thresholds]
+    def _scored(self, requests):
+        """The memo of each (rank, n_elements, thresholds) request, holding
+        every one of its thresholds: the (rank, N, threshold) triples not
+        scored before go through one link_cdfs call, then one ordered_cdf
+        call per rank."""
+        memos, fresh, links, gammas = [], [], [], []
+        for rank, n_elements, thresholds in requests:
+            if self.link_type == "direct":
+                n_elements = 0  # the direct link is the same at every N
+            scores = self._scores.setdefault((rank, n_elements), {})
+            new = [g for g in dict.fromkeys(thresholds) if g not in scores]
+            if new:
+                fresh.append((rank, scores, new))
+                links += [self.link(rank, n_elements)] * len(new)
+                gammas += new
+            memos.append(scores)
+        if fresh:
+            parent = ch.link_cdfs(links, gammas)
+            start = 0
+            for rank, scores, new in fresh:
+                stop = start + len(new)
+                scores.update(zip(new, ordered_cdf(parent[start:stop], rank, self.m_users).tolist()))
+                start = stop
+        return memos

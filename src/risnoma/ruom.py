@@ -11,6 +11,7 @@ until the power vector stops moving.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -98,6 +99,11 @@ def _axis_values(eps_sr: float, low: float, high: float):
     return vals
 
 
+def _grid_key(beta):
+    """beta to 12 decimals: one key for a grid point however its floats came about."""
+    return tuple([round(b, 12) for b in beta])
+
+
 def pgs(beta_prev, eps_sr: float, rates, m_users: int):
     """Progressive grid search: feasible power vectors at resolution eps_sr.
 
@@ -106,9 +112,12 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
     and the incumbent itself is kept in the set so refinements never regress.
     Returns PowerAllocations in lexicographic order; empty is a legal result.
 
-    A leaf becomes a PowerAllocation only once it meets the sum rule and
-    every SIC margin; the enumeration never descends into a branch that
-    breaks the strict NOMA ordering, since no allocation lies below it.
+    A leaf becomes a PowerAllocation only once every SIC margin is positive;
+    PowerAllocation then checks the sum rule.  The enumeration never descends
+    into a branch that breaks the strict NOMA ordering, since no allocation
+    lies below it.  Ascending axes make the walk yield its leaves in
+    lexicographic order, so only the incumbent needs a place: it joins the
+    list unless a leaf has the same 12-decimal key.
     """
     if not 0.0 < eps_sr <= 1.0:
         raise ValueError("eps_sr must lie in (0, 1]")
@@ -122,46 +131,52 @@ def pgs(beta_prev, eps_sr: float, rates, m_users: int):
             for b in beta_prev.beta
         ]
 
-    found = {}
+    found = []
     tol = 1e-9 * m_users
     phis = _sic_phis(rates)
 
-    def visit(candidate):
-        if abs(math.fsum(candidate) - 1.0) > tol:  # PowerAllocation's sum rule
-            return
-        if not all(margin > 0.0 for _, margin in _sic_margins(candidate, phis, m_users)):
-            return
-        try:
-            alloc = PowerAllocation(candidate)
-        except ValueError:
-            # outside (0, 1) or not strictly decreasing (possible for target
-            # rates < 1); not a valid allocation
-            return
-        found.setdefault(tuple(round(b, 12) for b in candidate), alloc)
+    def decodable(beta):
+        return all([margin > 0.0 for margin in _sic_margins(beta, phis, m_users)])
 
     # depth-first with sum pruning: partial sums above 1 (or unable to reach 1)
     # can never satisfy the sum constraint; axes ascend, so a value at or
-    # above its predecessor ends the loop
+    # above its predecessor ends the loop.  A leaf that SIC decodes becomes a
+    # PowerAllocation unless it breaks the sum rule.
     suffix_max = [0.0] * (m_users + 1)
     for i in range(m_users - 1, -1, -1):
         suffix_max[i] = suffix_max[i + 1] + max(axes[i])
+    leaf_depth = m_users - 1
 
     def enumerate_axes(depth, prefix, partial):
-        if depth == m_users:
-            visit(prefix)
-            return
         for v in axes[depth]:
             new_sum = partial + v
             if new_sum > 1.0 + tol or (depth and v >= prefix[-1]):
                 break
             if new_sum + suffix_max[depth + 1] < 1.0 - tol:
                 continue
-            enumerate_axes(depth + 1, prefix + (v,), new_sum)
+            candidate = prefix + (v,)
+            if depth < leaf_depth:
+                enumerate_axes(depth + 1, candidate, new_sum)
+            elif decodable(candidate):
+                try:
+                    found.append(PowerAllocation(candidate))
+                except ValueError:
+                    pass  # off the sum rule: not a valid allocation
 
-    enumerate_axes(0, (), 0.0)
-    if beta_prev is not None:
-        visit(beta_prev.beta)
-    return [found[key] for key in sorted(found)]
+    if m_users:
+        enumerate_axes(0, (), 0.0)
+    if eps_sr < 2e-12:
+        # grid values this close may share a key: keep the first leaf of each
+        unique = {}
+        for alloc in found:
+            unique.setdefault(_grid_key(alloc.beta), alloc)
+        found = list(unique.values())
+    if beta_prev is not None and decodable(beta_prev.beta):
+        key = _grid_key(beta_prev.beta)
+        at = bisect.bisect_left(found, key, key=lambda a: _grid_key(a.beta))
+        if at == len(found) or _grid_key(found[at].beta) != key:
+            found.insert(at, beta_prev)
+    return found
 
 
 def evaluate_candidates(candidates, objective) -> PowerAllocation:

@@ -49,6 +49,39 @@ class TestPowerAllocation:
             PowerAllocation((0.2, 0.8))
 
 
+def _allocation_error_before_one_pass(beta):
+    """The message PowerAllocation raised for beta when it checked range,
+    sum and order in three passes, or None."""
+    beta = tuple(float(b) for b in beta)
+    if len(beta) < 1:
+        return "empty power allocation"
+    if any(not (0.0 < b < 1.0) for b in beta) and beta != (1.0,):
+        return "coefficients must lie in (0, 1) (or be the trivial [1])"
+    if abs(math.fsum(beta) - 1.0) > 1e-9 * len(beta):
+        return f"coefficients must sum to one, got {math.fsum(beta)!r}"
+    for j in range(len(beta) - 1):
+        if not beta[j] > beta[j + 1]:
+            return "coefficients must be strictly decreasing"
+    return None
+
+
+@pytest.mark.parametrize("beta", [
+    (), (1.0,), (0.5,), (1,), (np.float64(1.0),), (0.7, 0.2, 0.1), (0.1, 0.2, 0.7),
+    (0.5, 0.5), (0.6, 0.4, 0.0), (1.0, 0.0), (1.2, -0.2), (0.8, 0.1), (0.5, 0.3, 0.3),
+    (0.5, 0.3, 0.2 + 2e-9), (0.5, 0.3, 0.2 + 4e-9), (math.nan, 0.5), (0.5, math.nan),
+    (math.inf, 0.5), (0.9, math.nan, 0.1), (0.3, 0.7), (0.6, 0.3, 0.3, -0.2),
+])
+def test_power_allocation_raises_as_before(beta):
+    # one pass over beta still raises the first error the three passes raised
+    expected = _allocation_error_before_one_pass(beta)
+    if expected is None:
+        assert PowerAllocation(beta).beta == tuple(float(b) for b in beta)
+    else:
+        with pytest.raises(ValueError) as exc:
+            PowerAllocation(beta)
+        assert str(exc.value) == expected
+
+
 class TestRates:
     def test_zero_snr(self):
         assert decode_rate(0.0, ALLOC2, 1, 1) == 0.0
@@ -323,6 +356,63 @@ def _feasible_allocations(rates, count, seed):
     return out
 
 
+def _sic_by_definition(beta, rates, m):
+    """gamma_j^lb of ranks 1..m and rank m's binding threshold, computed as
+    sic_thresholds first did, or the first rank whose SIC margin is not
+    positive."""
+    lbs = []
+    for j in range(m):
+        phi = 2.0 ** float(rates[j]) - 1.0
+        denom = beta[j] - phi * math.fsum(beta[j + 1:])
+        if denom <= 0.0:
+            return j + 1
+        lbs.append(phi / denom)
+    return lbs, (lbs[m - 1] if m == len(beta) else max(lbs[:m]))
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("rates", [(1.0,), (2.0, 0.5), (0.5, 1.5, 1.0), (1.0, 1.5, 2.0), (2.0,) * 4,
+                                   (0.2, 1.0, 0.2, 1.0, 0.2)])
+def test_model_thresholds_are_sic_thresholds(rates):
+    # one implementation serves both: the same bits per rank, and the same
+    # rank named when an allocation breaks SIC
+    m_users = len(rates)
+    scen = generate_scenario(ScenarioConfig(n_uavs=m_users), 3)
+    model = OutageModel(resolve_links(EnvironmentParams(), scen), rates, "composite")
+    rng = np.random.default_rng(m_users)
+    allocs, broken_ranks = [], []
+    while len(allocs) < 60:
+        raw = np.sort(rng.dirichlet(np.full(m_users, 0.3)))[::-1]
+        try:
+            allocs.append(PowerAllocation(tuple(raw)))
+        except ValueError:
+            continue
+    for alloc in allocs:
+        oracle = [_sic_by_definition(alloc.beta, rates, m) for m in range(1, m_users + 1)]
+        broken = next((o for o in oracle if isinstance(o, int)), None)
+        for m, expected in enumerate(oracle, start=1):
+            if isinstance(expected, int):
+                for thresholds in (lambda: sic_thresholds(alloc, rates, m),
+                                   lambda: model._threshold(m, alloc)):
+                    with pytest.raises(InfeasibleAllocationError) as exc:
+                        thresholds()
+                    assert exc.value.rank_j == expected
+                continue
+            lbs, binding = sic_thresholds(alloc, rates, m)
+            assert [x.hex() for x in lbs] == [x.hex() for x in expected[0]]
+            assert binding.hex() == expected[1].hex() == model._threshold(m, alloc).hex()
+        if broken is None:
+            assert [x.hex() for x in model.thresholds(alloc)] == [o[1].hex() for o in oracle]
+        else:
+            broken_ranks.append(broken)
+            with pytest.raises(InfeasibleAllocationError) as exc:
+                model.thresholds(alloc)
+            assert exc.value.rank_j == broken
+    # feasible and broken allocations, and for M > 2 some broken above rank 1
+    assert 0 < len(broken_ranks) < len(allocs) or m_users == 1
+    assert max(broken_ranks, default=0) > 1 or m_users <= 2
+
+
 class TestOutagesMemo:
     """outages() scores every rank from one SIC pass and a per-model memo;
     its floats are the ones per-rank outage() calls give."""
@@ -381,24 +471,33 @@ class TestOutagesMemo:
             [x.hex() for x in outs] for outs in single]
 
     def test_batch_scores_each_rank_in_one_cdf_call(self, monkeypatch):
-        # one link_cdfs call per rank, over the thresholds not scored before
+        # one link_cdfs call per batch across all ranks, holding each
+        # (rank, threshold) pair not scored before exactly once
         calls = []
         cdfs = channels.link_cdfs
 
         def counted_cdfs(links, gammas):
-            calls.append(list(gammas))
+            calls.append(list(zip(links, gammas)))
             return cdfs(links, gammas)
 
         monkeypatch.setattr(channels, "link_cdfs", counted_cdfs)
         model = self._model("composite")
+        n_per_rank = (64, 1, 0)
         allocs = _feasible_allocations(self.RATES, 8, seed=6)
-        model.outages(allocs[0], (64, 1, 0))
-        assert [len(c) for c in calls] == [1, 1, 1]
+
+        def pairs(batch):
+            return [(model.link(m, n), g) for m, n in zip((1, 2, 3), n_per_rank)
+                    for g in dict.fromkeys(model.thresholds(a)[m - 1] for a in batch)]
+
+        model.outages(allocs[0], n_per_rank)
+        assert [len(c) for c in calls] == [3]
+        assert calls == [pairs(allocs[:1])]
         calls.clear()
-        model.batch_outages(allocs + allocs, (64, 1, 0))
-        assert [len(c) for c in calls] == [7, 7, 7]
+        model.batch_outages(allocs + allocs, n_per_rank)
+        assert [len(c) for c in calls] == [21]
+        assert calls == [[pair for pair in pairs(allocs) if pair not in pairs(allocs[:1])]]
         calls.clear()
-        model.batch_outages(allocs, (64, 1, 0))
+        model.batch_outages(allocs, n_per_rank)
         assert calls == []
 
     def test_direct_link_scored_once_across_element_counts(self, monkeypatch):

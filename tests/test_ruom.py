@@ -528,3 +528,146 @@ def test_ruom_report_golden_floats(tmp_path, recorded_stack, config, drop):
         tuple(float(o).hex() for o in final["final_outages"]),
     )
     assert got == GOLDEN_RUOM[config, drop], recorded_stack
+
+
+def pgs_before_one_pass(beta_prev, eps_sr, rates, m_users):
+    """pgs as it stood before it checked each grid point once: every leaf
+    re-checks the sum rule, every allocation is keyed by its 12-decimal
+    rounding, the incumbent is rebuilt, and the keys are sorted.  Kept
+    verbatim as the oracle of the allocations pgs returns and their order."""
+    if not 0.0 < eps_sr <= 1.0:
+        raise ValueError("eps_sr must lie in (0, 1]")
+    if beta_prev is None:
+        axes = [ruom_module._axis_values(eps_sr, 0.0, 1.0)] * m_users
+    else:
+        if beta_prev.m_users != m_users:
+            raise ValueError("incumbent dimension mismatch")
+        axes = [
+            ruom_module._axis_values(eps_sr, max(0.0, b - eps_sr), min(1.0, b + eps_sr))
+            for b in beta_prev.beta
+        ]
+
+    found = {}
+    tol = 1e-9 * m_users
+    phis = [2.0 ** float(r) - 1.0 for r in rates]
+
+    def sic_margins(beta):
+        for j in range(m_users):
+            yield phis[j], beta[j] - phis[j] * math.fsum(beta[j + 1:])
+
+    def visit(candidate):
+        if abs(math.fsum(candidate) - 1.0) > tol:
+            return
+        if not all(margin > 0.0 for _, margin in sic_margins(candidate)):
+            return
+        try:
+            alloc = PowerAllocation(candidate)
+        except ValueError:
+            return
+        found.setdefault(tuple(round(b, 12) for b in candidate), alloc)
+
+    suffix_max = [0.0] * (m_users + 1)
+    for i in range(m_users - 1, -1, -1):
+        suffix_max[i] = suffix_max[i + 1] + max(axes[i])
+
+    def enumerate_axes(depth, prefix, partial):
+        if depth == m_users:
+            visit(prefix)
+            return
+        for v in axes[depth]:
+            new_sum = partial + v
+            if new_sum > 1.0 + tol or (depth and v >= prefix[-1]):
+                break
+            if new_sum + suffix_max[depth + 1] < 1.0 - tol:
+                continue
+            enumerate_axes(depth + 1, prefix + (v,), new_sum)
+
+    enumerate_axes(0, (), 0.0)
+    if beta_prev is not None:
+        visit(beta_prev.beta)
+    return [found[key] for key in sorted(found)]
+
+
+PGS_EPS = (0.5, 0.25, 0.1, 1e-2, 1e-4, 1e-8)
+
+
+def _hex_betas(allocs):
+    return [tuple(b.hex() for b in a.beta) for a in allocs]
+
+
+@pytest.fixture(scope="module")
+def golden_pgs_calls(tmp_path_factory):
+    """Every (incumbent, resolution, rates, M) with which run_ruom_report on
+    the GOLDEN_RUOM drops calls pgs."""
+    calls, counted = [], ruom_module.pgs
+
+    def recording(*args):
+        calls.append(args)
+        return counted(*args)
+
+    ruom_module.pgs = recording
+    try:
+        for config, drop in sorted(GOLDEN_RUOM):
+            cfg = expcli.load_config(BENCH_CONFIGS / f"{config}.yaml")
+            expcli.run_ruom_report(cfg, drop, tmp_path_factory.mktemp("golden"))
+    finally:
+        ruom_module.pgs = counted
+    return calls
+
+
+@pytest.mark.bits
+def test_pgs_equals_its_former_self_on_the_golden_traces(golden_pgs_calls):
+    # each call the golden solves make, and each incumbent they visit at
+    # every resolution: the same allocations, bit for bit, in the same order
+    incumbents = {}
+    for beta_prev, eps_sr, rates, m_users in golden_pgs_calls:
+        assert _hex_betas(pgs(beta_prev, eps_sr, rates, m_users)) == _hex_betas(
+            pgs_before_one_pass(beta_prev, eps_sr, rates, m_users))
+        if beta_prev is not None:
+            incumbents[beta_prev, rates] = m_users
+    assert {m for m in incumbents.values()} == {3, 4}
+    for (beta_prev, rates), m_users in incumbents.items():
+        for eps_sr in PGS_EPS:
+            assert _hex_betas(pgs(beta_prev, eps_sr, rates, m_users)) == _hex_betas(
+                pgs_before_one_pass(beta_prev, eps_sr, rates, m_users)), (beta_prev, eps_sr)
+
+
+def _sic_incumbents(m_users, rate, count=4, seed=0):
+    """Allocations SIC decodes at `rate`: geometric ones with random shrink
+    factors, each as drawn and rounded to three decimals."""
+    rng = np.random.default_rng(seed)
+    phi = 2.0 ** rate - 1.0
+    out = []
+    while len(out) < 2 * count:
+        ratios = rng.uniform(0.3, 0.9, m_users) / (1.0 + phi)
+        raw = np.cumprod(np.concatenate([[1.0], ratios[:-1]]))
+        drawn = [float(b) for b in raw / raw.sum()]
+        rounded = [round(b, 3) for b in drawn[:-1]]
+        for beta in (drawn, rounded + [1.0 - math.fsum(rounded)]):
+            try:
+                alloc = PowerAllocation(beta)
+            except ValueError:
+                continue
+            if all(phi * math.fsum(alloc.beta[j + 1:]) < alloc.beta[j] for j in range(m_users)):
+                out.append(alloc)
+    return out
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("rate", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("m_users", [1, 2, 3, 4, 5])
+def test_pgs_equals_its_former_self(m_users, rate):
+    # the global grid wherever it is small enough to walk, then its points
+    # and some off-grid allocations as incumbents at every resolution, down
+    # to steps finer than the 12-decimal key
+    rates = (rate,) * m_users
+    global_eps = [eps for eps in PGS_EPS if eps >= 0.1 or (eps >= 1e-2 and m_users <= 3)
+                  or (eps >= 1e-4 and m_users == 1)]
+    for eps_sr in global_eps:
+        assert _hex_betas(pgs(None, eps_sr, rates, m_users)) == _hex_betas(
+            pgs_before_one_pass(None, eps_sr, rates, m_users)), eps_sr
+    incumbents = pgs(None, global_eps[-1], rates, m_users)[:8] + _sic_incumbents(m_users, rate)
+    for beta_prev in incumbents:
+        for eps_sr in PGS_EPS + (1e-13,):
+            assert _hex_betas(pgs(beta_prev, eps_sr, rates, m_users)) == _hex_betas(
+                pgs_before_one_pass(beta_prev, eps_sr, rates, m_users)), (beta_prev, eps_sr)
